@@ -86,7 +86,8 @@ def _product(
         # their step at the freeze position and the stack stays as is.
         post1 = a.det_successor(s1, c)
         post2 = b.det_successor(s2, c)
-        assert ops[active].is_x(post1 if active == 1 else post2)
+        if not ops[active].is_x(post1 if active == 1 else post2):
+            raise RuntimeError("internal: the diver is not in an X state after the crossing")
         return route(s1, s2, post1, post2, sig)
 
     def is_x_key(key: _Key) -> bool:
@@ -108,8 +109,8 @@ def _product(
     transitions: set[tuple[str, str, str]] = set()
     while queue:
         key = queue.pop()
-        if key[0] == "a":
-            assert 1 <= key[5] <= len(key[4])
+        if key[0] == "a" and not 1 <= key[5] <= len(key[4]):
+            raise RuntimeError("internal: tracker index left the stack word")
         step = sync_step if key[0] == "s" else async_step
         for c in letters:
             nxt = step(key, c)
@@ -131,9 +132,12 @@ def _product(
     if len(set(names.values())) != len(names):
         raise RuntimeError("internal: product state names collided")
     if cap == 0:
-        assert len(seen) == 1
+        if len(seen) != 1:
+            raise RuntimeError(f"internal: stack bound 0 but the product has {len(seen)} states")
     elif len(letters) >= 2:
-        assert len(seen) <= 3 * cap * len(a.states) * len(b.states) * len(letters) ** (cap + 1)
+        bound = 3 * cap * len(a.states) * len(b.states) * len(letters) ** (cap + 1)
+        if len(seen) > bound:
+            raise RuntimeError(f"internal: product has {len(seen)} states, over the bound {bound}")
     return Po2Automaton(
         a.alphabet,
         {names[k] for k in seen if is_x_key(k)},

@@ -5,7 +5,9 @@ of single-character letters), ``states`` (list of ``{name, polarity: "X"|"Y",
 initial, final}``), and ``transitions`` (list of ``{from, letter, to}`` with
 ``"LEND"`` spelling the left-end marker).  Reports are deterministic for fixed
 inputs.  Exit codes: 0 for affirmative results, 1 for negative decisions (the
-witness is printed), 2 for usage or format errors, 3 for an exceeded budget.
+witness is printed), 2 for usage or format errors, 3 for an exceeded budget,
+4 for an internal error (any other exception, reported on one stderr line so
+that a fault is never mistaken for a negative verdict).
 """
 
 from __future__ import annotations
@@ -340,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

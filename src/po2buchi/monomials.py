@@ -651,6 +651,16 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     those intersections, narrowed where needed so each monomial misses one
     later marker per segment (words with fatter gaps change state at
     different positions and are covered by other skeletons).
+
+    The runs read one flat ``(state, letter) -> state`` table built once
+    per call.  The skeleton tree is walked depth first with an explicit
+    stack and one shared path that is undone on backtracking, so a long
+    chain needs neither deep Python recursion nor memory beyond linear in
+    its length.  A skeleton is extended only while its markers that saw no
+    state change yet are no more than the state changes left on the
+    longest path to a final state.  The cost is still exponential in the
+    chain length: up to ``|alphabet|**(n - 1)`` skeletons for a chain of n
+    states.
     """
     report = a.validate()
     if not (report.is_well_formed_po2 and report.is_deterministic):
@@ -662,45 +672,71 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     (z0,) = a.initial
     letters = sorted(a.alphabet)
     cap = max(chain_lengths(a)[0] - 1, 0)
-    # Longest descending chain from each state: an upper bound on how many
-    # more state changes the run can perform, hence on the markers that can
-    # still be validated.
-    graph = {z: {d for s, _, d in a.transitions if s == z and d != z} for z in a.states}
+    xs = a.x_states
+    n = len(a.states)
+    # validate() has ruled out a second successor for any (state, letter)
+    delta = {(s, c): d for s, c, d in a.transitions}
+    loops = {z: a.selfloop_letters(z) for z in a.states}
+    graph: dict[str, set[str]] = {z: set() for z in a.states}
+    for s, _, d in a.transitions:
+        if s != d:
+            graph[s].add(d)
+    # Longest chain from each state to a final state, -1 if none is
+    # reachable.  Every marker still unvalidated when the run lands in z
+    # needs a state change of its own, and those changes all lie on the
+    # run's path from z to the final state where an emission happens; so a
+    # skeleton with more unvalidated markers than below[z] emits nothing,
+    # and neither does any extension of it.
     below: dict[str, int] = {}
     for z in TopologicalSorter(graph).static_order():
-        below[z] = max((below[d] + 1 for d in graph[z]), default=0)
+        below[z] = max(
+            (below[d] + 1 for d in graph[z] if below[d] >= 0),
+            default=0 if z in a.final else -1,
+        )
     found: set[Monomial] = set()
+    # The skeleton on the search path: its markers, each cell's allowed
+    # alphabet, and whether each marker saw a state change.  Every write
+    # settle() makes to an earlier cell is logged, so backtracking undoes
+    # it and the path costs memory linear in its length.
+    marks: list[str] = []
+    meets: list[frozenset[str]] = []
+    flags: list[bool] = []
+    log: list[tuple[list, int, object]] = []
 
-    def settle(
-        z: str, marks: tuple[str, ...], meets: list[frozenset[str]], flags: list[bool]
-    ) -> str:
+    def settle(z: str) -> tuple[str, int]:
         """Run over the fixed cells until the head passes the last marker
-        moving right, narrowing each crossed cell's allowed alphabet."""
+        moving right, narrowing each crossed cell's allowed alphabet.
+        Returns the state reached and how many markers it validated."""
         frontier = 2 * len(marks) + 1
-        loc = frontier if z in a.x_states else frontier - 2
-        limit = (len(a.states) + 2) * (frontier + 3) + 4
-        steps = 0
+        loc = frontier if z in xs else frontier - 2
+        limit = (n + 2) * (frontier + 3) + 4
+        steps = validated = 0
         while loc < frontier:
             steps += 1
             if steps > limit:
                 raise RuntimeError("abstract run did not settle")
             if loc == 0:
-                z = a.det_successor(z, LEND)
+                z = delta[z, LEND]
                 loc = 1
             elif loc % 2:
                 t = (loc - 1) // 2
-                meets[t] &= a.selfloop_letters(z)
-                loc += 1 if z in a.x_states else -1
+                meet = meets[t] & loops[z]
+                if len(meet) < len(meets[t]):
+                    log.append((meets, t, meets[t]))
+                    meets[t] = meet
+                loc += 1 if z in xs else -1
             else:
-                nxt = a.det_successor(z, marks[loc // 2 - 1])
-                if nxt != z:
-                    flags[loc // 2 - 1] = True
+                t = loc // 2 - 1
+                nxt = delta[z, marks[t]]
+                if nxt != z and not flags[t]:
+                    log.append((flags, t, False))
+                    flags[t] = True
+                    validated += 1
                 z = nxt
-                loc += 1 if z in a.x_states else -1
-        return z
+                loc += 1 if z in xs else -1
+        return z, validated
 
-    def emit(z: str, marks: tuple[str, ...], meets: list[frozenset[str]]) -> None:
-        tail = a.selfloop_letters(z)
+    def emit(z: str) -> None:
         options = []
         for i, meet in enumerate(meets):
             later = frozenset(marks[i:])
@@ -709,28 +745,45 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
             else:
                 options.append([meet])
         for segs in product(*options):
-            mono = Monomial(segs, marks, tail)
+            mono = Monomial(segs, marks, loops[z])
             if not mono.is_restricted():
                 raise RuntimeError(f"emitted monomial is not restricted: {mono}")
             found.add(mono)
 
-    def explore(
-        z: str, marks: tuple[str, ...], meets: tuple[frozenset[str], ...], flags: list[bool]
-    ) -> None:
-        if z in a.final and all(flags):
-            emit(z, marks, list(meets))
-        if len(marks) >= cap:
-            return
-        for c in letters:
-            nxt = a.det_successor(z, c)
-            new_marks = marks + (c,)
-            new_meets = list(meets) + [a.selfloop_letters(z)]
-            new_flags = flags + [nxt != z]
-            landed = settle(nxt, new_marks, new_meets, new_flags)
-            if new_flags.count(False) <= below[landed]:
-                explore(landed, new_marks, tuple(new_meets), new_flags)
+    def backtrack(mark: int) -> None:
+        while len(log) > mark:
+            cells, t, old = log.pop()
+            cells[t] = old
+        del marks[-1], meets[-1], flags[-1]
 
-    explore(z0, (), (), [])
+    if z0 in a.final:
+        emit(z0)
+    # One frame per skeleton on the path: its state, the number of
+    # unvalidated markers, the next letter to try and the log length at entry.
+    frames = [[z0, 0, 0, 0]]
+    while frames:
+        frame = frames[-1]
+        z, pending, i, mark = frame
+        if i == len(letters) or len(marks) >= cap:
+            frames.pop()
+            if frames:
+                backtrack(mark)
+            continue
+        frame[2] = i + 1
+        c = letters[i]
+        nxt = delta[z, c]
+        entry = len(log)
+        marks.append(c)
+        meets.append(loops[z])
+        flags.append(nxt != z)
+        landed, validated = settle(nxt)
+        pending += (nxt == z) - validated
+        if pending <= below[landed]:
+            if pending == 0 and landed in a.final:
+                emit(landed)
+            frames.append([landed, pending, 0, entry])
+        else:
+            backtrack(entry)
     return sorted(found, key=str)
 
 

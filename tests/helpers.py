@@ -43,6 +43,15 @@ def random_det_automaton(
     return Po2Automaton(alphabet, xs, ys, transitions, {names[0]}, final)
 
 
+def one_letter_chain(n: int) -> Po2Automaton:
+    """X states z0 -a-> z1 -a-> ... -a-> z{n-1}; the last one is final and
+    loops on a, so the language is a^w and the chain length is n."""
+    names = [f"z{i}" for i in range(n)]
+    transitions = {(names[i], "a", names[i + 1]) for i in range(n - 1)}
+    transitions.add((names[-1], "a", names[-1]))
+    return Po2Automaton("a", names, set(), transitions, {names[0]}, {names[-1]})
+
+
 def random_nondet_automaton(
     rng: random.Random,
     alphabet: str = "ab",

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_det_automaton, random_nondet_automaton
+from helpers import one_letter_chain, random_det_automaton, random_nondet_automaton
+from po2buchi import cli
 from po2buchi.cli import automaton_from_doc, automaton_to_doc, main
 from po2buchi.core import complement, complete
 from po2buchi.run import membership_nondet
@@ -237,6 +238,27 @@ def test_alphabet_mismatch_is_a_usage_error(tmp_path, capsys):
     write(right, doc)
     assert main(["includes", str(left), str(right)]) == 2
     assert "alphabet" in capsys.readouterr().err
+
+
+def test_to_monomials_on_a_long_chain(tmp_path):
+    src = tmp_path / "chain.po2"
+    write(src, automaton_to_doc(one_letter_chain(2000)))
+    code, out = run_cli(["to-monomials", str(src)])
+    assert (code, out) == (0, "[]*a." * 1999 + "[a]w\n")
+
+
+def test_internal_errors_exit_4(tmp_path, monkeypatch, capsys):
+    # parse_formula recurses per nesting level, so this overflows the stack.
+    assert main(["sat", "(" * 300 + "v1" + ")" * 300]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    def broken(args, out):
+        raise RuntimeError("internal: broken on purpose")
+
+    monkeypatch.setattr(cli, "_cmd_stats", broken)
+    assert main(["stats", str(tmp_path / "unread.po2")]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: internal: broken on purpose\n"
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import (
+    one_letter_chain,
     random_det_automaton,
     random_lasso,
     random_monomial,
@@ -446,19 +447,50 @@ def test_decompose_showcase_machine():
         assert any(monomial_member(p, w) for p in poly) == want, str(w)
 
 
+@pytest.mark.parametrize(
+    "literal, expected",
+    [
+        ("[a]*a.[b]*c.[c]w", ["[a]*a.[]*b.[b]*c.[c]w", "[a]*a.[]*c.[c]w"]),
+        ("[a]*c.[c]*b.[]*b.[ac]w", ["[a]*c.[c]*b.[]*b.[ac]w"]),
+        ("[c]*b.[ac]*b.[ac]*b.[c]w", ["[c]*b.[ac]*b.[ac]*b.[c]w"]),
+        ("[ab]*a.[]*c.[c]w", ["[ab]*a.[]*c.[c]w"]),
+    ],
+)
+def test_decompose_pinned_outputs(literal, expected):
+    det = monomial_to_deterministic(parse_monomial(literal), alphabet="abc")
+    assert [str(p) for p in automaton_to_polynomial(det)] == expected
+
+
+def assert_decomposes(rng: random.Random, a: Po2Automaton, alphabet: str) -> None:
+    poly = automaton_to_polynomial(a)
+    cap = chain_lengths(complete(a))[0] - 1
+    for p in poly:
+        assert p.is_restricted()
+        assert p.degree <= cap
+    for _ in range(20):
+        w = random_lasso(rng, alphabet)
+        want = run_det(complete(a), w).verdict == ACCEPTED
+        assert any(monomial_member(p, w) for p in poly) == want, str(w)
+
+
 def test_decompose_random_machines():
     rng = random.Random(12)
     for _ in range(80):
-        a = random_det_automaton(rng, "ab", 6)
-        poly = automaton_to_polynomial(a)
-        cap = chain_lengths(complete(a))[0] - 1
-        for p in poly:
-            assert p.is_restricted()
-            assert p.degree <= cap
-        for _ in range(20):
-            w = random_lasso(rng, "ab")
-            want = run_det(complete(a), w).verdict == ACCEPTED
-            assert any(monomial_member(p, w) for p in poly) == want, str(w)
+        assert_decomposes(rng, random_det_automaton(rng, "ab", 6), "ab")
+
+
+def test_decompose_random_incomplete_machines():
+    # complete() gives these machines a sink that reaches no final state,
+    # so the search's bound on unvalidated markers cuts skeletons there.
+    rng = random.Random(15)
+    for _ in range(80):
+        assert_decomposes(rng, random_det_automaton(rng, "abc", 8, complete=False), "abc")
+
+
+def test_decompose_long_chain_without_recursion():
+    # 2,000 markers deep: deeper than Python's default recursion limit.
+    poly = automaton_to_polynomial(one_letter_chain(2000))
+    assert poly == [parse_monomial("[]*a." * 1999 + "[a]w")]
 
 
 def test_decompose_rejects_nondeterministic():
