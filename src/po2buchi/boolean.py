@@ -24,6 +24,7 @@ from .core import (
     complement,
     complete,
     ensure_x_initial,
+    require,
 )
 
 UNION = "union"
@@ -34,20 +35,11 @@ _SyncKey = tuple[str, str, str, str]
 _Key = tuple
 
 
-def _require_ready(a: Po2Automaton, label: str) -> None:
-    report = a.validate()
-    if not (report.is_well_formed_po2 and report.is_deterministic and report.is_complete):
-        raise ValueError(
-            f"{label} operand must be well formed, deterministic and complete: "
-            + "; ".join(report.violations[:3])
-        )
-
-
 def _product(
     a: Po2Automaton, b: Po2Automaton, accept: Callable[[str, str], bool]
 ) -> Po2Automaton:
-    _require_ready(a, "left")
-    _require_ready(b, "right")
+    require(a, deterministic=True, complete=True)
+    require(b, deterministic=True, complete=True)
     if a.alphabet != b.alphabet:
         raise ValueError("product operands need the same alphabet")
     a = ensure_x_initial(a)

@@ -18,7 +18,7 @@ import sys
 from typing import TextIO
 
 from .boolean import product_intersection, product_union
-from .core import LEND, Po2Automaton, chain_lengths, complement, complete
+from .core import LEND, Po2Automaton, chain_lengths, complement, complete, require
 from .decide import BudgetExceeded, equivalent, includes, is_empty, is_universal
 from .monomials import automaton_to_polynomial, monomial_to_deterministic, parse_monomial
 from .run import ACCEPTED, membership_nondet, run_det
@@ -89,12 +89,6 @@ def _save(a: Po2Automaton, path: str | None, out: TextIO) -> None:
             fh.write(text)
 
 
-def _require(a: Po2Automaton, *, deterministic: bool = False) -> None:
-    report = a.validate()
-    if not report.is_well_formed_po2 or (deterministic and not report.is_deterministic):
-        raise ValueError("; ".join(report.violations) or "machine is not usable here")
-
-
 def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -111,14 +105,14 @@ def _cmd_validate(args, out: TextIO) -> int:
 
 def _cmd_complete(args, out: TextIO) -> int:
     a = _load(args.automaton)
-    _require(a)
+    require(a)
     _save(complete(a), args.output, out)
     return 0
 
 
 def _cmd_complement(args, out: TextIO) -> int:
     a = _load(args.automaton)
-    _require(a, deterministic=True)
+    require(a, deterministic=True)
     _save(complement(complete(a)), args.output, out)
     return 0
 
@@ -126,8 +120,8 @@ def _cmd_complement(args, out: TextIO) -> int:
 def _cmd_product(args, out: TextIO) -> int:
     a = _load(args.left)
     b = _load(args.right)
-    _require(a, deterministic=True)
-    _require(b, deterministic=True)
+    require(a, deterministic=True)
+    require(b, deterministic=True)
     build = product_intersection if args.op == "intersect" else product_union
     _save(build(complete(a), complete(b)), args.output, out)
     return 0
@@ -135,7 +129,7 @@ def _cmd_product(args, out: TextIO) -> int:
 
 def _cmd_run(args, out: TextIO) -> int:
     a = _load(args.automaton)
-    _require(a, deterministic=True)
+    require(a, deterministic=True)
     outcome = run_det(a, parse_lasso(args.lasso))
     print(f"{outcome.verdict}, stationary state: {outcome.stationary_state}", file=out)
     print(f"steps: {outcome.steps}", file=out)
@@ -144,9 +138,9 @@ def _cmd_run(args, out: TextIO) -> int:
 
 def _cmd_member(args, out: TextIO) -> int:
     a = _load(args.automaton)
-    _require(a)
+    report = require(a)
     w = parse_lasso(args.lasso)
-    if a.validate().is_deterministic:
+    if report.is_deterministic:
         outcome = run_det(a, w)
         print(f"{outcome.verdict}, stationary state: {outcome.stationary_state}", file=out)
         return 0 if outcome.verdict == ACCEPTED else 1
@@ -159,7 +153,7 @@ def _cmd_member(args, out: TextIO) -> int:
 
 def _cmd_empty(args, out: TextIO) -> int:
     a = _load(args.automaton)
-    _require(a)
+    require(a)
     witness = is_empty(a, budget=args.budget)
     if witness is None:
         print("empty", file=out)
@@ -171,8 +165,8 @@ def _cmd_empty(args, out: TextIO) -> int:
 def _cmd_includes(args, out: TextIO) -> int:
     a = _load(args.left)
     b = _load(args.right)
-    _require(a)
-    _require(b, deterministic=True)
+    require(a)
+    require(b, deterministic=True)
     witness = includes(a, b, budget=args.budget)
     if witness is None:
         print("included", file=out)
@@ -184,8 +178,8 @@ def _cmd_includes(args, out: TextIO) -> int:
 def _cmd_equiv(args, out: TextIO) -> int:
     a = _load(args.left)
     b = _load(args.right)
-    _require(a, deterministic=True)
-    _require(b, deterministic=True)
+    require(a, deterministic=True)
+    require(b, deterministic=True)
     verdict = equivalent(a, b, budget=args.budget)
     if verdict is None:
         print("equivalent", file=out)
@@ -198,7 +192,7 @@ def _cmd_equiv(args, out: TextIO) -> int:
 
 def _cmd_universal(args, out: TextIO) -> int:
     a = _load(args.automaton)
-    _require(a, deterministic=True)
+    require(a, deterministic=True)
     witness = is_universal(a, budget=args.budget)
     if witness is None:
         print("universal", file=out)
@@ -209,7 +203,7 @@ def _cmd_universal(args, out: TextIO) -> int:
 
 def _cmd_to_monomials(args, out: TextIO) -> int:
     a = _load(args.automaton)
-    _require(a, deterministic=True)
+    require(a, deterministic=True)
     for monomial in automaton_to_polynomial(a):
         print(monomial, file=out)
     return 0
@@ -238,8 +232,7 @@ def _cmd_sat(args, out: TextIO) -> int:
 
 def _cmd_stats(args, out: TextIO) -> int:
     a = _load(args.automaton)
-    _require(a)
-    report = a.validate()
+    report = require(a)
     chain, x_chain = chain_lengths(a)
     print(f"states: {len(a.states)}", file=out)
     print(f"x-states: {len(a.x_states)}", file=out)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .core import LEND, Po2Automaton
+from .core import LEND, Po2Automaton, require
 
 TrackerKey = tuple[str, int, str]
 TrackerState = tuple[str, int]
@@ -31,9 +31,7 @@ def _check_tracker_args(a: Po2Automaton, v: str) -> None:
     stray = set(v) - a.alphabet
     if stray:
         raise ValueError(f"marker word uses letters outside the alphabet: {sorted(stray)}")
-    report = a.validate()
-    if not report.is_deterministic:
-        raise ValueError("tracker needs a deterministic automaton")
+    require(a, deterministic=True)
 
 
 @lru_cache(maxsize=256)

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Iterable
 
 LEND = "▷"  # left tape-end marker, never part of an input alphabet
-_LEND_JSON = "LEND"
 
 Transition = tuple[str, str, str]
 
@@ -94,10 +92,17 @@ class Po2Automaton:
 
     @cached_property
     def _successors(self) -> dict[tuple[str, str], frozenset[str]]:
-        table: dict[tuple[str, str], set[str]] = {}
+        table: dict[tuple[str, str], frozenset[str]] = {}
+        several: dict[tuple[str, str], set[str]] = {}
         for src, c, dst in self.transitions:
-            table.setdefault((src, c), set()).add(dst)
-        return {k: frozenset(v) for k, v in table.items()}
+            key = src, c
+            if key in table:
+                several.setdefault(key, set(table[key])).add(dst)
+            else:
+                table[key] = frozenset((dst,))
+        for key, dsts in several.items():
+            table[key] = frozenset(dsts)
+        return table
 
     def successors(self, state: str, letter: str) -> frozenset[str]:
         return self._successors.get((state, letter), frozenset())
@@ -128,51 +133,123 @@ class Po2Automaton:
                 table[src].add(dst)
         return {z: frozenset(v) for z, v in table.items()}
 
-    def validate(self) -> ValidationReport:
-        """Diagnose the two-way discipline, determinism and completeness."""
-        violations: list[str] = []
-        for src, c, dst in sorted(self.transitions):
-            if c == LEND:
-                if src not in self.y_states:
-                    violations.append(f"po2: marker edge leaves non-Y state {src!r}")
-                if dst not in self.x_states:
-                    violations.append(f"po2: marker edge enters non-X state {dst!r}")
-        try:
-            list(
-                TopologicalSorter(
-                    {z: set(self._change_edges[z]) for z in self.states}
-                ).static_order()
-            )
-            acyclic = True
-        except CycleError as err:
-            acyclic = False
-            violations.append(f"po2: state-changing transitions form a cycle: {err.args[1]}")
-        well_formed = acyclic and not any(v.startswith("po2:") for v in violations)
+    @cached_property
+    def _order(self) -> tuple[tuple[str, ...] | None, tuple[str, ...] | None]:
+        """``(order, None)``, each state after its state-changing successors,
+        or ``(None, cycle)``: one iterative depth-first search in sorted order
+        (Tarjan 1972).  The cycle starts and ends at its least state."""
+        edges = self._change_edges
+        order: list[str] = []
+        done: set[str] = set()
+        for root in sorted(edges):
+            if root in done:
+                continue
+            path = {root: None}  # the states on the search path, in order
+            stack = [iter(sorted(edges[root]))]  # the successors left to try
+            while stack:
+                for nxt in stack[-1]:
+                    if nxt in path:
+                        cycle = list(path)
+                        cycle = cycle[cycle.index(nxt):]
+                        least = cycle.index(min(cycle))
+                        cycle = cycle[least:] + cycle[:least]
+                        return None, (*cycle, cycle[0])
+                    if nxt not in done:
+                        path[nxt] = None
+                        stack.append(iter(sorted(edges[nxt])))
+                        break
+                else:
+                    z, _ = path.popitem()
+                    stack.pop()
+                    done.add(z)
+                    order.append(z)
+        return tuple(order), None
 
-        deterministic = True
-        if len(self.initial) != 1:
-            deterministic = False
+    @cached_property
+    def _report(self) -> ValidationReport:
+        violations: list[str] = []
+        markers = sorted(t for t in self.transitions if t[1] == LEND)
+        for src, _, dst in markers:
+            if src not in self.y_states:
+                violations.append(f"po2: marker edge leaves non-Y state {src!r}")
+            if dst not in self.x_states:
+                violations.append(f"po2: marker edge enters non-X state {dst!r}")
+        well_formed = not violations
+        cycle = self._order[1]
+        if cycle is not None:
+            well_formed = False
+            violations.append(f"po2: state-changing transitions form a cycle: {list(cycle)}")
+
+        successors = self._successors
+        deterministic = len(self.initial) == 1
+        if not deterministic:
             violations.append(
                 f"determinism: need exactly one initial state, have {len(self.initial)}"
             )
-        for (src, c), dsts in sorted(self._successors.items()):
-            if len(dsts) > 1:
-                deterministic = False
-                violations.append(
-                    f"determinism: ({src!r}, {c!r}) has {len(dsts)} successors"
-                )
+        for src, c in sorted(k for k, dsts in successors.items() if len(dsts) > 1):
+            deterministic = False
+            violations.append(
+                f"determinism: ({src!r}, {c!r}) has {len(successors[src, c])} successors"
+            )
 
-        complete = True
-        for z in sorted(self.states):
-            for c in sorted(self.alphabet):
-                if not self.successors(z, c):
-                    complete = False
-                    violations.append(f"completeness: no ({z!r}, {c!r}) transition")
-            if z in self.y_states and not self.successors(z, LEND):
-                complete = False
-                violations.append(f"completeness: Y state {z!r} has no marker edge")
+        # Every key pairs a state with a letter or the marker, so counting
+        # keys shows whether any pair is missing before looking each one up.
+        marked = {src for src, _, _ in markers}
+        letter_keys = len(successors) - len(marked)
+        missing = []
+        if letter_keys < len(self.states) * len(self.alphabet) or not self.y_states <= marked:
+            # Keyed so that each state's letters come before its marker edge.
+            missing = [
+                ((z, 0, c), f"completeness: no ({z!r}, {c!r}) transition")
+                for z in self.states
+                for c in self.alphabet
+                if (z, c) not in successors
+            ]
+            missing += [
+                ((z, 1), f"completeness: Y state {z!r} has no marker edge")
+                for z in self.y_states
+                if z not in marked
+            ]
+            violations += [text for _, text in sorted(missing)]
 
-        return ValidationReport(well_formed, deterministic, complete, tuple(violations))
+        return ValidationReport(well_formed, deterministic, not missing, tuple(violations))
+
+    def validate(self) -> ValidationReport:
+        """Diagnose the two-way discipline, determinism and completeness.
+
+        The report is computed once per machine, in time linear in its size
+        apart from sorting what it reports, and every later call returns the
+        same object.  Violations come in a fixed order: marker edges, the
+        cycle, nondeterministic choices and missing transitions, each sorted
+        by state and letter.  The cycle is the first one a depth-first
+        search in sorted state order meets, listed in edge order from its
+        least state, so the report does not depend on the hash seed.
+        """
+        return self._report
+
+
+def require(
+    a: Po2Automaton, *, deterministic: bool = False, complete: bool = False
+) -> ValidationReport:
+    """The machine's report; ValueError unless it has the asked-for properties.
+
+    Every operation that needs a well-formed (and possibly deterministic or
+    complete) machine checks it here, so all of them fail with one message:
+    what was needed, then the first three violations.
+    """
+    report = a.validate()
+    if not (
+        report.is_well_formed_po2
+        and (report.is_deterministic or not deterministic)
+        and (report.is_complete or not complete)
+    ):
+        need = "a well-formed"
+        if deterministic:
+            need += ", deterministic"
+        if complete:
+            need += ", complete"
+        raise ValueError(f"need {need} machine; " + "; ".join(report.violations[:3]))
+    return report
 
 
 def ensure_x_initial(a: Po2Automaton) -> Po2Automaton:
@@ -236,12 +313,7 @@ def complete(a: Po2Automaton) -> Po2Automaton:
 
 def complement(a: Po2Automaton) -> Po2Automaton:
     """Swap accepting and rejecting states of a complete deterministic machine."""
-    report = a.validate()
-    if not (report.is_well_formed_po2 and report.is_deterministic and report.is_complete):
-        raise ValueError(
-            "complement needs a well-formed, deterministic, complete automaton; "
-            + "; ".join(report.violations[:3])
-        )
+    require(a, deterministic=True, complete=True)
     return Po2Automaton(
         a.alphabet,
         a.x_states,
@@ -257,16 +329,15 @@ def chain_lengths(a: Po2Automaton) -> tuple[int, int]:
 
     Returns ``(n, m)``: the maximum number of states on any path, and the
     maximum number of X states on any path.  Requires a well-formed machine
-    (the graph must be acyclic).
+    (the graph must be acyclic).  Reads the topological order the machine
+    computes once and shares with :meth:`Po2Automaton.validate`.
     """
-    order_graph = {z: set(a._change_edges[z]) for z in a.states}
-    try:
-        order = list(TopologicalSorter(order_graph).static_order())
-    except CycleError:
+    order, cycle = a._order
+    if cycle is not None:
         raise ValueError("chain lengths are undefined: transition graph has a cycle")
     total: dict[str, int] = {}
     xonly: dict[str, int] = {}
-    for z in order:  # successors of z come earlier in static_order
+    for z in order:  # successors of z come earlier in the order
         succs = a._change_edges[z]
         total[z] = 1 + max((total[s] for s in succs), default=0)
         xonly[z] = (1 if z in a.x_states else 0) + max((xonly[s] for s in succs), default=0)
@@ -331,34 +402,3 @@ def disjoint_union(parts: Iterable[Po2Automaton]) -> Po2Automaton:
         frozenset().union(*(p.initial for p in renamed)) if renamed else frozenset(),
         frozenset().union(*(p.final for p in renamed)) if renamed else frozenset(),
     )
-
-
-def automaton_to_dict(a: Po2Automaton) -> dict:
-    """JSON-ready description; the marker letter is spelled "LEND"."""
-    return {
-        "alphabet": sorted(a.alphabet),
-        "x_states": sorted(a.x_states),
-        "y_states": sorted(a.y_states),
-        "transitions": [
-            [s, _LEND_JSON if c == LEND else c, d] for s, c, d in sorted(a.transitions)
-        ],
-        "initial": sorted(a.initial),
-        "final": sorted(a.final),
-    }
-
-
-def automaton_from_dict(data: dict) -> Po2Automaton:
-    try:
-        return Po2Automaton(
-            data["alphabet"],
-            data["x_states"],
-            data["y_states"],
-            [
-                (s, LEND if c == _LEND_JSON else c, d)
-                for s, c, d in data["transitions"]
-            ],
-            data["initial"],
-            data["final"],
-        )
-    except (KeyError, TypeError) as err:
-        raise ValueError(f"malformed automaton description: {err}") from err

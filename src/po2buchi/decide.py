@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import Po2Automaton, chain_lengths, complement, complete
+from .core import Po2Automaton, chain_lengths, complement, complete, require
 from .run import ACCEPTED, membership_nondet, run_det
 from .words import LassoWord
 
@@ -33,14 +33,6 @@ class Witness:
 
     def __str__(self) -> str:
         return f"{self.spoke}({self.letter})"
-
-
-def _require_wf(a: Po2Automaton, *, deterministic: bool = False) -> None:
-    report = a.validate()
-    ok = report.is_well_formed_po2 and (report.is_deterministic or not deterministic)
-    if not ok:
-        need = "a well-formed deterministic machine" if deterministic else "a well-formed machine"
-        raise ValueError(f"need {need}; " + "; ".join(report.violations[:3]))
 
 
 def _candidates(alphabet, max_len: int):
@@ -72,7 +64,7 @@ def is_empty(a: Po2Automaton, *, budget: int | None = None) -> Witness | None:
     A nonempty language always contains an ultimately constant word whose
     spoke is shorter than the longest state chain, so the search is complete.
     """
-    _require_wf(a)
+    require(a)
     if not a.alphabet:
         return None
     ac = complete(a)
@@ -97,8 +89,8 @@ def includes(
     """
     if frozenset(a.alphabet) != frozenset(b.alphabet):
         raise ValueError("inclusion needs a shared alphabet")
-    _require_wf(a)
-    _require_wf(b, deterministic=True)
+    require(a)
+    require(b, deterministic=True)
     if not a.alphabet:
         return None
     b_bar = complement(complete(b))
@@ -131,5 +123,5 @@ def equivalent(
 
 def is_universal(a: Po2Automaton, *, budget: int | None = None) -> Witness | None:
     """None when the machine accepts every lasso; otherwise a rejected word."""
-    _require_wf(a, deterministic=True)
+    require(a, deterministic=True)
     return is_empty(complement(complete(a)), budget=budget)

@@ -26,6 +26,7 @@ from .core import (
     fresh_name,
     prune_unreachable,
     relabel,
+    require,
 )
 from .run import run_det
 from .words import LassoWord
@@ -221,12 +222,7 @@ def relativize(
     gadget self-loops (used when the caller embeds the result into a region
     that cannot contain them).
     """
-    report = b.validate()
-    if not (report.is_well_formed_po2 and report.is_deterministic):
-        raise ValueError(
-            "relativize needs a well-formed deterministic machine; "
-            + "; ".join(report.violations[:3])
-        )
+    require(b, deterministic=True)
     if marker not in b.alphabet:
         raise ValueError(f"marker {marker!r} is not in the alphabet")
     if marker in forbid:
@@ -662,25 +658,17 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     chain length: up to ``|alphabet|**(n - 1)`` skeletons for a chain of n
     states.
     """
-    report = a.validate()
-    if not (report.is_well_formed_po2 and report.is_deterministic):
-        raise ValueError(
-            "decomposition needs a well-formed deterministic machine; "
-            + "; ".join(report.violations[:3])
-        )
+    require(a, deterministic=True)
     a = ensure_x_initial(complete(a))
     (z0,) = a.initial
     letters = sorted(a.alphabet)
     cap = max(chain_lengths(a)[0] - 1, 0)
     xs = a.x_states
     n = len(a.states)
-    # validate() has ruled out a second successor for any (state, letter)
+    # require() has ruled out a second successor for any (state, letter)
     delta = {(s, c): d for s, c, d in a.transitions}
     loops = {z: a.selfloop_letters(z) for z in a.states}
-    graph: dict[str, set[str]] = {z: set() for z in a.states}
-    for s, _, d in a.transitions:
-        if s != d:
-            graph[s].add(d)
+    graph = a._change_edges
     # Longest chain from each state to a final state, -1 if none is
     # reachable.  Every marker still unvalidated when the run lands in z
     # needs a state change of its own, and those changes all lie on the
@@ -688,7 +676,7 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     # skeleton with more unvalidated markers than below[z] emits nothing,
     # and neither does any extension of it.
     below: dict[str, int] = {}
-    for z in TopologicalSorter(graph).static_order():
+    for z in a._order[0]:  # the order chain_lengths used, successors first
         below[z] = max(
             (below[d] + 1 for d in graph[z] if below[d] >= 0),
             default=0 if z in a.final else -1,

@@ -66,12 +66,20 @@ class FormulaSyntaxError(ValueError):
         self.offset = offset
 
 
+_BINARY = {"&": (2, And), "|": (1, Or)}  # binding strength, node type
+
+
 def parse_formula(text: str) -> PropFormula:
     """Parse formulas like ``v1 & !(v2 | v3)``.
 
     ``!`` binds tightest, ``&`` binds over ``|``, and both binary operators
     associate to the left.  Variables are ``v`` followed by decimal digits.
+    The parser climbs precedences with explicit stacks, so how deeply a
+    formula nests is limited by memory, not by the Python stack.
     """
+    operands: list[PropFormula] = []
+    pending: list[str] = []  # "!", "(", "&" and "|" not applied yet
+    opened: list[int] = []  # offsets of the open parentheses, innermost last
     pos = 0
 
     def skip_spaces() -> None:
@@ -79,65 +87,58 @@ def parse_formula(text: str) -> PropFormula:
         while pos < len(text) and text[pos].isspace():
             pos += 1
 
-    def at(symbol: str) -> bool:
-        skip_spaces()
-        return pos < len(text) and text[pos] == symbol
+    def fold(binding: int) -> None:
+        """Apply the pending binary operators that bind at least this tightly."""
+        while pending and pending[-1] in _BINARY and _BINARY[pending[-1]][0] >= binding:
+            right = operands.pop()
+            operands.append(_BINARY[pending.pop()][1](operands.pop(), right))
 
-    def disjunction() -> PropFormula:
-        nonlocal pos
-        node = conjunction()
-        while at("|"):
-            pos += 1
-            node = Or(node, conjunction())
-        return node
-
-    def conjunction() -> PropFormula:
-        nonlocal pos
-        node = negation()
-        while at("&"):
-            pos += 1
-            node = And(node, negation())
-        return node
-
-    def negation() -> PropFormula:
-        nonlocal pos
-        if at("!"):
-            pos += 1
-            return Not(negation())
-        return atom()
-
-    def atom() -> PropFormula:
-        nonlocal pos
+    while True:
+        # An operand: any "!" and "(" in front of a variable.
         skip_spaces()
         if pos >= len(text):
             raise FormulaSyntaxError("expected a variable, '!' or '('", pos)
-        if text[pos] == "(":
-            opened = pos
+        if text[pos] in "!(":
+            if text[pos] == "(":
+                opened.append(pos)
+            pending.append(text[pos])
             pos += 1
-            node = disjunction()
-            if not at(")"):
-                raise FormulaSyntaxError("unclosed '('", opened)
+            continue
+        if text[pos] != "v":
+            raise FormulaSyntaxError(f"unexpected {text[pos]!r}", pos)
+        start = pos
+        pos += 1
+        while pos < len(text) and text[pos] in "0123456789":
             pos += 1
-            return node
-        if text[pos] == "v":
-            start = pos
+        if pos == start + 1:
+            raise FormulaSyntaxError("expected digits after 'v'", pos)
+        index = int(text[start + 1 : pos])
+        if index < 1:
+            raise FormulaSyntaxError("variable index must be at least 1", start)
+        operands.append(Var(index))
+        # Negate the finished atom, and close the groups it finishes.
+        while True:
+            while pending[-1:] == ["!"]:
+                pending.pop()
+                operands.append(Not(operands.pop()))
+            skip_spaces()
+            if not (opened and pos < len(text) and text[pos] == ")"):
+                break
+            fold(0)
+            pending.pop()
+            opened.pop()
             pos += 1
-            digits = ""
-            while pos < len(text) and text[pos] in "0123456789":
-                digits += text[pos]
-                pos += 1
-            if not digits:
-                raise FormulaSyntaxError("expected digits after 'v'", pos)
-            if int(digits) < 1:
-                raise FormulaSyntaxError("variable index must be at least 1", start)
-            return Var(int(digits))
-        raise FormulaSyntaxError(f"unexpected {text[pos]!r}", pos)
-
-    node = disjunction()
-    skip_spaces()
-    if pos != len(text):
-        raise FormulaSyntaxError(f"unexpected {text[pos]!r}", pos)
-    return node
+        if pos < len(text) and text[pos] in _BINARY:
+            fold(_BINARY[text[pos]][0])
+            pending.append(text[pos])
+            pos += 1
+            continue
+        if opened:
+            raise FormulaSyntaxError("unclosed '('", opened[-1])
+        if pos != len(text):
+            raise FormulaSyntaxError(f"unexpected {text[pos]!r}", pos)
+        fold(0)
+        return operands.pop()
 
 
 def build_sat_automaton(f: PropFormula) -> Po2Automaton:

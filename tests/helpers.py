@@ -1,13 +1,16 @@
 """Seeded generators shared across test modules.
 
-All generators build states along a fixed linear order and only allow
-self-loops or forward edges, so every machine is well formed by
-construction (the self-loop-free graph is acyclic, marker edges included).
+All generators but ``random_raw_automaton`` build states along a fixed
+linear order and only allow self-loops or forward edges, so every machine is
+well formed by construction (the self-loop-free graph is acyclic, marker
+edges included).  The module also holds reference implementations that
+later, faster code is checked against.
 """
 
 import random
+from graphlib import CycleError, TopologicalSorter
 
-from po2buchi.core import LEND, Po2Automaton
+from po2buchi.core import LEND, Po2Automaton, ValidationReport
 
 
 def random_det_automaton(
@@ -50,6 +53,87 @@ def one_letter_chain(n: int) -> Po2Automaton:
     transitions = {(names[i], "a", names[i + 1]) for i in range(n - 1)}
     transitions.add((names[-1], "a", names[-1]))
     return Po2Automaton("a", names, set(), transitions, {names[0]}, {names[-1]})
+
+
+def random_raw_automaton(rng: random.Random, alphabet: str = "ab", max_states: int = 5) -> Po2Automaton:
+    """Any machine the constructor accepts: edges in every direction (so
+    cycles are common), marker edges between any two states, missing and
+    nondeterministic transitions, and one or two initial states."""
+    n = rng.randint(1, max_states)
+    names = [f"s{i}" for i in range(n)]
+    xs = {z for z in names if rng.random() < 0.6}
+    transitions = set()
+    for i, z in enumerate(names):
+        for c in alphabet + LEND:
+            if c == LEND and z in xs and rng.random() < 0.9:
+                continue
+            for _ in range(rng.choice((0, 1, 1, 1, 1, 2))):
+                # Mostly forward, so that most machines are acyclic.
+                pool = names[i:] if rng.random() < 0.8 else names
+                transitions.add((z, c, rng.choice(pool)))
+    initial = set(rng.sample(names, rng.choice((1, 1, 1, 2)) if n > 1 else 1))
+    final = {z for z in names if rng.random() < 0.4}
+    return Po2Automaton(alphabet, xs, set(names) - xs, transitions, initial, final)
+
+
+def reference_report(a: Po2Automaton) -> ValidationReport:
+    """The validation report as the first, sort-everything implementation
+    computed it: the oracle for ``Po2Automaton.validate``.  Its cycle line
+    names whatever cycle ``graphlib`` found first."""
+    violations: list[str] = []
+    for src, c, dst in sorted(a.transitions):
+        if c == LEND:
+            if src not in a.y_states:
+                violations.append(f"po2: marker edge leaves non-Y state {src!r}")
+            if dst not in a.x_states:
+                violations.append(f"po2: marker edge enters non-X state {dst!r}")
+    try:
+        list(
+            TopologicalSorter(
+                {z: set(a._change_edges[z]) for z in a.states}
+            ).static_order()
+        )
+        acyclic = True
+    except CycleError as err:
+        acyclic = False
+        violations.append(f"po2: state-changing transitions form a cycle: {err.args[1]}")
+    well_formed = acyclic and not any(v.startswith("po2:") for v in violations)
+
+    deterministic = True
+    if len(a.initial) != 1:
+        deterministic = False
+        violations.append(
+            f"determinism: need exactly one initial state, have {len(a.initial)}"
+        )
+    for (src, c), dsts in sorted(a._successors.items()):
+        if len(dsts) > 1:
+            deterministic = False
+            violations.append(
+                f"determinism: ({src!r}, {c!r}) has {len(dsts)} successors"
+            )
+
+    complete = True
+    for z in sorted(a.states):
+        for c in sorted(a.alphabet):
+            if not a.successors(z, c):
+                complete = False
+                violations.append(f"completeness: no ({z!r}, {c!r}) transition")
+        if z in a.y_states and not a.successors(z, LEND):
+            complete = False
+            violations.append(f"completeness: Y state {z!r} has no marker edge")
+
+    return ValidationReport(well_formed, deterministic, complete, tuple(violations))
+
+
+def reference_chain_lengths(a: Po2Automaton) -> tuple[int, int]:
+    """``chain_lengths`` over a ``graphlib`` order; CycleError on a cycle."""
+    total: dict[str, int] = {}
+    xonly: dict[str, int] = {}
+    graph = {z: set(a._change_edges[z]) for z in a.states}
+    for z in TopologicalSorter(graph).static_order():
+        total[z] = 1 + max((total[s] for s in graph[z]), default=0)
+        xonly[z] = (z in a.x_states) + max((xonly[s] for s in graph[z]), default=0)
+    return max(total.values(), default=0), max(xonly.values(), default=0)
 
 
 def random_nondet_automaton(

@@ -2,13 +2,17 @@
 
 import io
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import po2buchi
 from helpers import one_letter_chain, random_det_automaton, random_nondet_automaton
 from po2buchi import cli
 from po2buchi.cli import automaton_from_doc, automaton_to_doc, main
@@ -248,8 +252,8 @@ def test_to_monomials_on_a_long_chain(tmp_path):
 
 
 def test_internal_errors_exit_4(tmp_path, monkeypatch, capsys):
-    # parse_formula recurses per nesting level, so this overflows the stack.
-    assert main(["sat", "(" * 300 + "v1" + ")" * 300]) == 4
+    # build_sat_automaton recurses once per connective, so this overflows the stack.
+    assert main(["sat", " & ".join(["v1"] * 1200)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and err.count("\n") == 1
 
@@ -261,6 +265,11 @@ def test_internal_errors_exit_4(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: RuntimeError: internal: broken on purpose\n"
 
 
+def test_sat_on_a_deeply_nested_formula():
+    code, out = run_cli(["sat", "(" * 300 + "v1" + ")" * 300])
+    assert (code, out) == (0, "sat v1=1\n")
+
+
 def test_reports_are_deterministic(tmp_path):
     src = tmp_path / "showcase.po2"
     run_cli(["from-monomial", "[ab]*a.[]*c.[c]w", "-o", str(src)])
@@ -268,6 +277,39 @@ def test_reports_are_deterministic(tmp_path):
     second = run_cli(["stats", str(src)])
     assert first == second
     assert src.read_text() == src.read_text()
+
+
+def test_cycle_report_ignores_the_hash_seed(tmp_path):
+    # Two cycles, p -> q -> r -> p and s -> t -> s.
+    doc = {
+        "alphabet": ["a"],
+        "states": [
+            {"name": z, "polarity": "X", "initial": z == "p", "final": False}
+            for z in "pqrst"
+        ],
+        "transitions": [
+            {"from": s, "letter": "a", "to": d}
+            for s, d in ("pq", "qr", "rp", "st", "ts")
+        ],
+    }
+    src = tmp_path / "cyclic.po2"
+    write(src, doc)
+    package_root = str(Path(po2buchi.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("1", "2", "3", "4", "5", "6"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=package_root)
+        proc = subprocess.run(
+            [sys.executable, "-m", "po2buchi.cli", "validate", str(src)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        outputs.add(proc.stdout)
+    assert outputs == {
+        "well-formed: no\n"
+        "deterministic: yes\n"
+        "complete: yes\n"
+        "violation: po2: state-changing transitions form a cycle: ['p', 'q', 'r', 'p']\n"
+    }
 
 
 def test_golden_transcript(tmp_path, monkeypatch):

@@ -1,15 +1,22 @@
 """Data-model guarantees: validation verdicts, completion, complement, chains."""
 
+import ast
 import random
+from graphlib import CycleError
 
 import pytest
 
-from helpers import random_det_automaton, random_nondet_automaton
+from helpers import (
+    random_det_automaton,
+    random_nondet_automaton,
+    random_raw_automaton,
+    reference_chain_lengths,
+    reference_report,
+)
+from po2buchi.cli import automaton_from_doc, automaton_to_doc
 from po2buchi.core import (
     LEND,
     Po2Automaton,
-    automaton_from_dict,
-    automaton_to_dict,
     chain_lengths,
     complement,
     complete,
@@ -17,6 +24,7 @@ from po2buchi.core import (
     fresh_name,
     prune_unreachable,
     relabel,
+    require,
 )
 
 
@@ -116,6 +124,92 @@ def test_validate_requires_marker_edges_for_completeness():
     report = a.validate()
     assert not report.is_complete
     assert any("marker edge" in v for v in report.violations)
+
+
+CYCLE_LINE = "po2: state-changing transitions form a cycle: "
+
+
+def is_cycle_line(line: str, a: Po2Automaton) -> bool:
+    """A cycle of state changes, in edge order, from its least state."""
+    if not line.startswith(CYCLE_LINE):
+        return False
+    cycle = ast.literal_eval(line[len(CYCLE_LINE):])
+    return (
+        len(cycle) >= 3
+        and cycle[0] == cycle[-1] == min(cycle)
+        and all(d in a._change_edges[s] for s, d in zip(cycle, cycle[1:]))
+    )
+
+
+def test_validate_matches_reference_report():
+    rng = random.Random(1972)
+    cyclic = well_formed = 0
+    for i in range(3000):
+        a = random_raw_automaton(rng, ("a", "ab", "abc")[i % 3], max_states=7)
+        new, old = a.validate(), reference_report(a)
+        flags = (new.is_well_formed_po2, new.is_deterministic, new.is_complete)
+        assert flags == (old.is_well_formed_po2, old.is_deterministic, old.is_complete)
+        assert len(new.violations) == len(old.violations)
+        for mine, theirs in zip(new.violations, old.violations):
+            if theirs.startswith(CYCLE_LINE):
+                assert is_cycle_line(mine, a), mine
+            else:
+                assert mine == theirs
+        cyclic += any(v.startswith(CYCLE_LINE) for v in old.violations)
+        well_formed += old.is_well_formed_po2
+    # Cyclic, otherwise faulty and well-formed machines are all well represented.
+    assert cyclic > 500 and well_formed > 500 and cyclic + well_formed < 2500
+
+
+def test_validate_is_memoized():
+    rng = random.Random(5)
+    for _ in range(20):
+        a = random_raw_automaton(rng, "ab", max_states=5)
+        assert a.validate() is a.validate()
+
+
+def test_chain_lengths_matches_graphlib_reference():
+    rng = random.Random(1973)
+    for i in range(1500):
+        a = random_raw_automaton(rng, ("a", "ab", "abc")[i % 3], max_states=7)
+        try:
+            expected = reference_chain_lengths(a)
+        except CycleError:
+            with pytest.raises(ValueError, match="cycle"):
+                chain_lengths(a)
+        else:
+            assert chain_lengths(a) == expected
+    for _ in range(200):
+        a = random_nondet_automaton(rng, "abc", max_states=8)
+        assert chain_lengths(a) == reference_chain_lengths(a)
+
+
+def test_require_is_the_one_gate():
+    good = two_state()
+    assert require(good, deterministic=True, complete=True) is good.validate()
+    nondet = Po2Automaton(
+        "ab", {"p", "q"}, set(),
+        {("p", "a", "p"), ("p", "a", "q"), ("q", "a", "q")},
+        {"p"}, set(),
+    )
+    assert require(nondet) is nondet.validate()
+    with pytest.raises(ValueError) as err:
+        require(nondet, deterministic=True, complete=True)
+    assert str(err.value) == (
+        "need a well-formed, deterministic, complete machine; "
+        "determinism: ('p', 'a') has 2 successors; "
+        "completeness: no ('p', 'b') transition; "
+        "completeness: no ('q', 'b') transition"
+    )
+    with pytest.raises(ValueError, match=r"^need a well-formed, complete machine; "):
+        require(nondet, complete=True)
+    cyclic = Po2Automaton("a", {"q", "p"}, set(), {("q", "a", "p"), ("p", "a", "q")}, {"p"}, set())
+    with pytest.raises(ValueError) as err:
+        require(cyclic)
+    assert str(err.value) == (
+        "need a well-formed machine; "
+        "po2: state-changing transitions form a cycle: ['p', 'q', 'p']"
+    )
 
 
 def test_complete_adds_single_sink():
@@ -227,11 +321,11 @@ def test_dict_round_trip():
     rng = random.Random(12)
     for _ in range(50):
         a = random_nondet_automaton(rng, "abc", 6)
-        d = automaton_to_dict(a)
-        assert all(c != LEND for _, c, _ in d["transitions"])
-        assert automaton_from_dict(d) == a
+        d = automaton_to_doc(a)
+        assert all(t["letter"] != LEND for t in d["transitions"])
+        assert automaton_from_doc(d) == a
     with pytest.raises(ValueError):
-        automaton_from_dict({"alphabet": ["a"]})
+        automaton_from_doc({"alphabet": ["a"]})
 
 
 def test_hashable_and_structural_equality():

@@ -45,6 +45,35 @@ def test_parse_examples():
     assert parse_formula("  v1 |  ( v2 )") == Or(Var(1), Var(2))
 
 
+def test_parse_deep_nesting_without_recursion():
+    for depth in (300, 5000):
+        assert parse_formula("(" * depth + "v1" + ")" * depth) == Var(1)
+    assert parse_formula("(" * 5000 + "v1 | v2" + ")" * 5000 + " & v3") == And(
+        Or(Var(1), Var(2)), Var(3)
+    )
+    for text, offset in (
+        ("(" * 5000 + "v1" + ")" * 4999, 0),
+        ("(" * 5000 + "v1 v2", 4999),  # the innermost group is the one left open
+        ("(" * 5000 + "v1" + ")" * 5001, 5002 + 5000),
+    ):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text)
+        assert err.value.offset == offset
+    node = parse_formula("!(" * 5000 + "v1" + ")" * 5000)
+    for _ in range(5000):
+        assert isinstance(node, Not)
+        node = node.child
+    assert node == Var(1)
+
+
+def test_parse_negation_under_parentheses():
+    assert parse_formula("!(v1)") == Not(Var(1))
+    assert parse_formula("(!v1)") == Not(Var(1))
+    assert parse_formula("!(!v1 & v2) | v3") == Or(Not(And(Not(Var(1)), Var(2))), Var(3))
+    assert parse_formula("((!(v1)))") == Not(Var(1))
+    assert parse_formula("!( v1 | v2 ) & !v3") == And(Not(Or(Var(1), Var(2))), Not(Var(3)))
+
+
 def test_parse_errors_carry_offsets():
     cases = [
         ("", 0),
