@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .compat import tracker_table
+from .compat import tracker_step
 from .core import (
     LEND,
     Po2Automaton,
@@ -47,6 +47,9 @@ def _product(
     ops = {1: a, 2: b}
     cap = chain_lengths(a)[1] + chain_lengths(b)[1] - 2
     letters = sorted(a.alphabet)
+    # Both operands are complete and deterministic, so every key is there.
+    delta1 = a._tables[0]
+    delta2 = b._tables[0]
 
     def route(pre1: str, pre2: str, post1: str, post2: str, sig: str) -> _Key:
         # A diving machine becomes active; the other slot keeps the state
@@ -59,8 +62,8 @@ def _product(
 
     def sync_step(key: _Key, c: str) -> _Key:
         _, x1, x2, sig = key
-        z1 = a.det_successor(x1, c)
-        z2 = b.det_successor(x2, c)
+        z1 = delta1[x1, c]
+        z2 = delta2[x2, c]
         if z1 != x1 or z2 != x2:
             sig = sig + c
             if len(sig) > cap:
@@ -70,14 +73,14 @@ def _product(
     def async_step(key: _Key, c: str) -> _Key:
         _, active, s1, s2, sig, k = key
         live = s1 if active == 1 else s2
-        hit = tracker_table(ops[active], sig).get((live, k, c))
+        hit = tracker_step(ops[active], sig, live, k, c)
         if hit is not None:
             z, k2 = hit
             return ("a", active, z, s2, sig, k2) if active == 1 else ("a", active, s1, z, sig, k2)
         # The tracker is silent exactly at the crossing: both machines take
         # their step at the freeze position and the stack stays as is.
-        post1 = a.det_successor(s1, c)
-        post2 = b.det_successor(s2, c)
+        post1 = delta1[s1, c]
+        post2 = delta2[s2, c]
         if not ops[active].is_x(post1 if active == 1 else post2):
             raise RuntimeError("internal: the diver is not in an X state after the crossing")
         return route(s1, s2, post1, post2, sig)
@@ -96,47 +99,47 @@ def _product(
     (i1,) = a.initial
     (i2,) = b.initial
     start: _Key = ("s", i1, i2, "")
-    seen = {start}
+    names = {start: name_of(start)}  # every key seen, named when first met
     queue = [start]
     transitions: set[tuple[str, str, str]] = set()
     while queue:
         key = queue.pop()
         if key[0] == "a" and not 1 <= key[5] <= len(key[4]):
             raise RuntimeError("internal: tracker index left the stack word")
+        src = names[key]
         step = sync_step if key[0] == "s" else async_step
         for c in letters:
             nxt = step(key, c)
-            transitions.add((name_of(key), c, name_of(nxt)))
-            if nxt not in seen:
-                seen.add(nxt)
+            if nxt not in names:
+                names[nxt] = name_of(nxt)
                 queue.append(nxt)
+            transitions.add((src, c, names[nxt]))
         if not is_x_key(key):
             _, active, s1, s2, sig, k = key
             live = s1 if active == 1 else s2
-            z, k2 = tracker_table(ops[active], sig)[live, k, LEND]
+            z, k2 = tracker_step(ops[active], sig, live, k, LEND)
             nxt = ("a", active, z, s2, sig, k2) if active == 1 else ("a", active, s1, z, sig, k2)
-            transitions.add((name_of(key), LEND, name_of(nxt)))
-            if nxt not in seen:
-                seen.add(nxt)
+            if nxt not in names:
+                names[nxt] = name_of(nxt)
                 queue.append(nxt)
+            transitions.add((src, LEND, names[nxt]))
 
-    names = {key: name_of(key) for key in seen}
     if len(set(names.values())) != len(names):
         raise RuntimeError("internal: product state names collided")
     if cap == 0:
-        if len(seen) != 1:
-            raise RuntimeError(f"internal: stack bound 0 but the product has {len(seen)} states")
+        if len(names) != 1:
+            raise RuntimeError(f"internal: stack bound 0 but the product has {len(names)} states")
     elif len(letters) >= 2:
         bound = 3 * cap * len(a.states) * len(b.states) * len(letters) ** (cap + 1)
-        if len(seen) > bound:
-            raise RuntimeError(f"internal: product has {len(seen)} states, over the bound {bound}")
+        if len(names) > bound:
+            raise RuntimeError(f"internal: product has {len(names)} states, over the bound {bound}")
     return Po2Automaton(
         a.alphabet,
-        {names[k] for k in seen if is_x_key(k)},
-        {names[k] for k in seen if not is_x_key(k)},
+        {name for k, name in names.items() if is_x_key(k)},
+        {name for k, name in names.items() if not is_x_key(k)},
         transitions,
         {names[start]},
-        {names[k] for k in seen if k[0] == "s" and accept(k[1], k[2])},
+        {name for k, name in names.items() if k[0] == "s" and accept(k[1], k[2])},
     )
 
 

@@ -11,11 +11,15 @@ it from the left (the strip transfer).  The single strip case that would
 empty the stretch, reading ``am`` at index ``m`` into an X state, gets no
 transition: it is exactly the moment the head crosses back over the
 factored position.
+
+The tracker is a closed-form step, :func:`tracker_step`, computed from one
+successor lookup and the marker word; the product calls it directly.
+:func:`tracker_table` spells the same steps out as a whole table, the
+oracle form that :func:`build_tracker` and the tests read.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -34,39 +38,44 @@ def _check_tracker_args(a: Po2Automaton, v: str) -> None:
     require(a, deterministic=True)
 
 
-@lru_cache(maxsize=256)
+def tracker_step(a: Po2Automaton, v: str, z: str, k: int, c: str) -> TrackerState | None:
+    """The tracker's move from state z at index k on letter c, or None.
+
+    None where the machine has no transition and at the forbidden crossing
+    case.  The caller must have checked the machine and the marker word
+    (as :func:`tracker_table` does) and keep ``1 <= k <= len(v)``.
+    """
+    nxt = a._tables[0].get((z, c))
+    if nxt is None:
+        return None
+    ys = a.y_states
+    if c == LEND:  # a bounce keeps the index
+        return (nxt, k) if z in ys else None
+    left = k - 1 if z in ys and k > 1 and c == v[k - 2] else k
+    if nxt in ys or c != v[left - 1]:
+        return nxt, left
+    if left < len(v):
+        return nxt, left + 1
+    return None  # left == m: crossing back over the factored position
+
+
 def tracker_table(a: Po2Automaton, v: str) -> Mapping[TrackerKey, TrackerState]:
     """Transition table ``(state, index, letter) -> (state, index)``.
 
-    Letters include the left-end marker, which bounces Y states without
-    touching the index.  Keys are absent where the underlying machine has
-    no transition and at the deliberately forbidden crossing case.
+    Every entry of :func:`tracker_step`, read-only.  Letters include the
+    left-end marker, which bounces Y states without touching the index.
+    Keys are absent where the underlying machine has no transition and at
+    the deliberately forbidden crossing case.
     """
     _check_tracker_args(a, v)
-    m = len(v)
+    letters = (*a.alphabet, LEND)
     table: dict[TrackerKey, TrackerState] = {}
     for z in a.states:
-        for k in range(1, m + 1):
-            for c in a.alphabet:
-                nxt = a.det_successor(z, c)
-                if nxt is None:
-                    continue
-                if z in a.y_states and k > 1 and c == v[k - 2]:
-                    left = k - 1
-                else:
-                    left = k
-                if nxt in a.y_states:
-                    table[z, k, c] = (nxt, left)
-                elif c == v[left - 1]:
-                    if left < m:
-                        table[z, k, c] = (nxt, left + 1)
-                    # left == m: crossing back over the factored position
-                else:
-                    table[z, k, c] = (nxt, left)
-            if z in a.y_states:
-                nxt = a.det_successor(z, LEND)
-                if nxt is not None:
-                    table[z, k, LEND] = (nxt, k)
+        for k in range(1, len(v) + 1):
+            for c in letters:
+                hit = tracker_step(a, v, z, k, c)
+                if hit is not None:
+                    table[z, k, c] = hit
     return MappingProxyType(table)
 
 

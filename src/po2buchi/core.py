@@ -17,6 +17,7 @@ from typing import Callable, Iterable
 LEND = "▷"  # left tape-end marker, never part of an input alphabet
 
 Transition = tuple[str, str, str]
+Key = tuple[str, str]  # (state, letter or LEND)
 
 
 @dataclass(frozen=True)
@@ -91,28 +92,41 @@ class Po2Automaton:
         return state in self.x_states
 
     @cached_property
-    def _successors(self) -> dict[tuple[str, str], frozenset[str]]:
-        table: dict[tuple[str, str], frozenset[str]] = {}
-        several: dict[tuple[str, str], set[str]] = {}
+    def _tables(self) -> tuple[dict[Key, str], dict[Key, frozenset[str]]]:
+        """One pass over the transitions: ``(state, letter) -> state`` for
+        every key with exactly one successor, and ``key -> frozenset`` for
+        the keys with several, which is empty for a deterministic machine."""
+        delta: dict[Key, str] = {}
+        several: dict[Key, set[str]] = {}
         for src, c, dst in self.transitions:
             key = src, c
-            if key in table:
-                several.setdefault(key, set(table[key])).add(dst)
+            if key in several:
+                several[key].add(dst)
+            elif key in delta:
+                several[key] = {delta.pop(key), dst}
             else:
-                table[key] = frozenset((dst,))
-        for key, dsts in several.items():
-            table[key] = frozenset(dsts)
-        return table
+                delta[key] = dst
+        return delta, {key: frozenset(dsts) for key, dsts in several.items()}
 
     def successors(self, state: str, letter: str) -> frozenset[str]:
-        return self._successors.get((state, letter), frozenset())
+        delta, several = self._tables
+        key = state, letter
+        if key in delta:
+            return frozenset((delta[key],))
+        return several.get(key, frozenset())
 
     def det_successor(self, state: str, letter: str) -> str | None:
-        """The unique successor, None if there is none, error if several."""
-        out = self.successors(state, letter)
-        if len(out) > 1:
-            raise ValueError(f"nondeterministic on ({state!r}, {letter!r}): {sorted(out)}")
-        return next(iter(out), None)
+        """The unique successor, None if there is none, error if several.
+
+        One lookup in the machine's flat successor table; hot loops read
+        ``_tables`` themselves and call this only where a key is missing.
+        """
+        delta, several = self._tables
+        nxt = delta.get((state, letter))
+        if nxt is None and (state, letter) in several:
+            out = sorted(several[state, letter])
+            raise ValueError(f"nondeterministic on ({state!r}, {letter!r}): {out}")
+        return nxt
 
     @cached_property
     def _selfloops(self) -> dict[str, frozenset[str]]:
@@ -180,22 +194,22 @@ class Po2Automaton:
             well_formed = False
             violations.append(f"po2: state-changing transitions form a cycle: {list(cycle)}")
 
-        successors = self._successors
+        delta, several = self._tables
         deterministic = len(self.initial) == 1
         if not deterministic:
             violations.append(
                 f"determinism: need exactly one initial state, have {len(self.initial)}"
             )
-        for src, c in sorted(k for k, dsts in successors.items() if len(dsts) > 1):
+        for src, c in sorted(several):
             deterministic = False
             violations.append(
-                f"determinism: ({src!r}, {c!r}) has {len(successors[src, c])} successors"
+                f"determinism: ({src!r}, {c!r}) has {len(several[src, c])} successors"
             )
 
         # Every key pairs a state with a letter or the marker, so counting
         # keys shows whether any pair is missing before looking each one up.
         marked = {src for src, _, _ in markers}
-        letter_keys = len(successors) - len(marked)
+        letter_keys = len(delta) + len(several) - len(marked)
         missing = []
         if letter_keys < len(self.states) * len(self.alphabet) or not self.y_states <= marked:
             # Keyed so that each state's letters come before its marker edge.
@@ -203,7 +217,7 @@ class Po2Automaton:
                 ((z, 0, c), f"completeness: no ({z!r}, {c!r}) transition")
                 for z in self.states
                 for c in self.alphabet
-                if (z, c) not in successors
+                if (z, c) not in delta and (z, c) not in several
             ]
             missing += [
                 ((z, 1), f"completeness: Y state {z!r} has no marker edge")
@@ -288,13 +302,10 @@ def complete(a: Po2Automaton) -> Po2Automaton:
     Idempotent: an already complete automaton is returned unchanged, so the
     sink never piles up across repeated calls.
     """
-    missing: list[tuple[str, str]] = []
-    for z in a.states:
-        for c in a.alphabet:
-            if not a.successors(z, c):
-                missing.append((z, c))
-        if z in a.y_states and not a.successors(z, LEND):
-            missing.append((z, LEND))
+    delta, several = a._tables
+    keys = [(z, c) for z in a.states for c in a.alphabet]
+    keys += [(z, LEND) for z in a.y_states]
+    missing = [key for key in keys if key not in delta and key not in several]
     if not missing:
         return a
     sink = fresh_name("sink", a.states)

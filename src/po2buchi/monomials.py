@@ -648,11 +648,11 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     later marker per segment (words with fatter gaps change state at
     different positions and are covered by other skeletons).
 
-    The runs read one flat ``(state, letter) -> state`` table built once
-    per call.  The skeleton tree is walked depth first with an explicit
-    stack and one shared path that is undone on backtracking, so a long
-    chain needs neither deep Python recursion nor memory beyond linear in
-    its length.  A skeleton is extended only while its markers that saw no
+    The runs read the machine's own flat ``(state, letter) -> state``
+    table.  The skeleton tree is walked depth first with an explicit stack
+    and one shared path that is undone on backtracking, so a long chain
+    needs neither deep Python recursion nor memory beyond linear in its
+    length.  A skeleton is extended only while its markers that saw no
     state change yet are no more than the state changes left on the
     longest path to a final state.  The cost is still exponential in the
     chain length: up to ``|alphabet|**(n - 1)`` skeletons for a chain of n
@@ -665,8 +665,7 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     cap = max(chain_lengths(a)[0] - 1, 0)
     xs = a.x_states
     n = len(a.states)
-    # require() has ruled out a second successor for any (state, letter)
-    delta = {(s, c): d for s, c, d in a.transitions}
+    delta = a._tables[0]  # complete and deterministic: every key is there
     loops = {z: a.selfloop_letters(z) for z in a.states}
     graph = a._change_edges
     # Longest chain from each state to a final state, -1 if none is

@@ -61,6 +61,7 @@ def simulate_from(
     period_letters = frozenset(w.period)
     spoke_len = len(w.spoke)
     cap = _step_cap(a, w)
+    delta = a._tables[0]
     changes: list[tuple[int, str, str, str]] = []
     trace: list[tuple[str, int]] = []
     exited: set[str] = set()
@@ -78,8 +79,9 @@ def simulate_from(
                 verdict, state, steps, tuple(changes), tuple(trace) if collect_trace else None
             )
         c = _letter_at(w, pos)
-        nxt = a.det_successor(state, c)
+        nxt = delta.get((state, c))
         if nxt is None:
+            a.det_successor(state, c)  # ValueError if the key has several successors
             return RunOutcome(
                 STUCK, None, steps, tuple(changes), tuple(trace) if collect_trace else None
             )
@@ -130,6 +132,7 @@ def membership_nondet(a: Po2Automaton, w: LassoWord) -> bool:
             and period_letters <= a.selfloop_letters(state)
         )
 
+    delta, several = a._tables
     seen = {(z, 1) for z in a.initial}
     frontier = list(seen)
     while frontier:
@@ -137,7 +140,8 @@ def membership_nondet(a: Po2Automaton, w: LassoWord) -> bool:
         if accepting(state, pos):
             return True
         c = _letter_at(w, pos)
-        for nxt in a.successors(state, c):
+        one = delta.get((state, c))
+        for nxt in several.get((state, c), ()) if one is None else (one,):
             if c == LEND:
                 npos = 1
             else:

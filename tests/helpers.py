@@ -10,6 +10,7 @@ later, faster code is checked against.
 import random
 from graphlib import CycleError, TopologicalSorter
 
+from po2buchi.compat import _check_tracker_args
 from po2buchi.core import LEND, Po2Automaton, ValidationReport
 
 
@@ -76,6 +77,15 @@ def random_raw_automaton(rng: random.Random, alphabet: str = "ab", max_states: i
     return Po2Automaton(alphabet, xs, set(names) - xs, transitions, initial, final)
 
 
+def reference_successors(a: Po2Automaton) -> dict[tuple[str, str], set[str]]:
+    """``(state, letter) -> successors``, straight from ``a.transitions``;
+    a key is present only when it has at least one successor."""
+    table: dict[tuple[str, str], set[str]] = {}
+    for src, c, dst in a.transitions:
+        table.setdefault((src, c), set()).add(dst)
+    return table
+
+
 def reference_report(a: Po2Automaton) -> ValidationReport:
     """The validation report as the first, sort-everything implementation
     computed it: the oracle for ``Po2Automaton.validate``.  Its cycle line
@@ -99,13 +109,14 @@ def reference_report(a: Po2Automaton) -> ValidationReport:
         violations.append(f"po2: state-changing transitions form a cycle: {err.args[1]}")
     well_formed = acyclic and not any(v.startswith("po2:") for v in violations)
 
+    successors = reference_successors(a)
     deterministic = True
     if len(a.initial) != 1:
         deterministic = False
         violations.append(
             f"determinism: need exactly one initial state, have {len(a.initial)}"
         )
-    for (src, c), dsts in sorted(a._successors.items()):
+    for (src, c), dsts in sorted(successors.items()):
         if len(dsts) > 1:
             deterministic = False
             violations.append(
@@ -115,10 +126,10 @@ def reference_report(a: Po2Automaton) -> ValidationReport:
     complete = True
     for z in sorted(a.states):
         for c in sorted(a.alphabet):
-            if not a.successors(z, c):
+            if (z, c) not in successors:
                 complete = False
                 violations.append(f"completeness: no ({z!r}, {c!r}) transition")
-        if z in a.y_states and not a.successors(z, LEND):
+        if z in a.y_states and (z, LEND) not in successors:
             complete = False
             violations.append(f"completeness: Y state {z!r} has no marker edge")
 
@@ -134,6 +145,37 @@ def reference_chain_lengths(a: Po2Automaton) -> tuple[int, int]:
         total[z] = 1 + max((total[s] for s in graph[z]), default=0)
         xonly[z] = (z in a.x_states) + max((xonly[s] for s in graph[z]), default=0)
     return max(total.values(), default=0), max(xonly.values(), default=0)
+
+
+def reference_tracker_table(a: Po2Automaton, v: str) -> dict[tuple[str, int, str], tuple[str, int]]:
+    """The tracker table as the first, whole-table implementation built it:
+    the oracle for ``compat.tracker_step``."""
+    _check_tracker_args(a, v)
+    m = len(v)
+    table: dict[tuple[str, int, str], tuple[str, int]] = {}
+    for z in a.states:
+        for k in range(1, m + 1):
+            for c in a.alphabet:
+                nxt = a.det_successor(z, c)
+                if nxt is None:
+                    continue
+                if z in a.y_states and k > 1 and c == v[k - 2]:
+                    left = k - 1
+                else:
+                    left = k
+                if nxt in a.y_states:
+                    table[z, k, c] = (nxt, left)
+                elif c == v[left - 1]:
+                    if left < m:
+                        table[z, k, c] = (nxt, left + 1)
+                    # left == m: crossing back over the factored position
+                else:
+                    table[z, k, c] = (nxt, left)
+            if z in a.y_states:
+                nxt = a.det_successor(z, LEND)
+                if nxt is not None:
+                    table[z, k, LEND] = (nxt, k)
+    return table
 
 
 def random_nondet_automaton(

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from helpers import random_det_automaton, random_lasso
-from po2buchi.compat import build_tracker, parse_tracker_state, tracker_table
+from helpers import random_det_automaton, random_lasso, reference_tracker_table
+from po2buchi.compat import build_tracker, parse_tracker_state, tracker_step, tracker_table
 from po2buchi.core import LEND, Po2Automaton
 from po2buchi.run import run_det
 from po2buchi.words import LassoWord, is_k_prefix_compatible, prefix_factorize
@@ -54,10 +54,38 @@ def test_tracker_table_hand_entries():
         t["x0", 1, "a"] = ("x0", 1)
 
 
-def test_tracker_table_is_memoized():
-    a1 = hand_machine()
-    a2 = hand_machine()
-    assert tracker_table(a1, "ab") is tracker_table(a2, "ab")
+def test_tracker_table_is_built_from_tracker_step():
+    a = hand_machine()
+    letters = sorted(a.alphabet) + [LEND]
+    for v in ("a", "ab", "bab"):
+        expected = {}
+        for z in sorted(a.states):
+            for k in range(1, len(v) + 1):
+                for c in letters:
+                    hit = tracker_step(a, v, z, k, c)
+                    if hit is not None:
+                        expected[z, k, c] = hit
+        assert dict(tracker_table(a, v)) == expected
+    assert not hasattr(tracker_table, "cache_info")
+
+
+def test_tracker_step_matches_reference_table():
+    rng = random.Random(34)
+    entries = crossings = 0
+    for i in range(400):
+        alphabet = ("ab", "abc")[i % 2]
+        a = random_det_automaton(rng, alphabet, 6, complete=i % 4 < 2)
+        v = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+        expected = reference_tracker_table(a, v)
+        for z in sorted(a.states):
+            for k in range(1, len(v) + 1):
+                for c in sorted(a.alphabet) + [LEND]:
+                    hit = tracker_step(a, v, z, k, c)
+                    assert hit == expected.get((z, k, c)), (z, k, c)
+                    entries += hit is not None
+                    # No entry although the machine moves: the crossing case.
+                    crossings += hit is None and a.det_successor(z, c) is not None
+    assert entries > 5000 and crossings > 500
 
 
 def test_tracker_argument_checks():

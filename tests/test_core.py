@@ -12,6 +12,7 @@ from helpers import (
     random_raw_automaton,
     reference_chain_lengths,
     reference_report,
+    reference_successors,
 )
 from po2buchi.cli import automaton_from_doc, automaton_to_doc
 from po2buchi.core import (
@@ -166,6 +167,27 @@ def test_validate_is_memoized():
     for _ in range(20):
         a = random_raw_automaton(rng, "ab", max_states=5)
         assert a.validate() is a.validate()
+
+
+def test_successor_lookups_match_transitions():
+    rng = random.Random(1974)
+    several = 0
+    for i in range(1500):
+        a = random_raw_automaton(rng, ("a", "ab", "abc")[i % 3], max_states=7)
+        expected = reference_successors(a)
+        for z in sorted(a.states):
+            for c in sorted(a.alphabet) + [LEND]:
+                dsts = expected.get((z, c), set())
+                assert a.successors(z, c) == frozenset(dsts)
+                assert isinstance(a.successors(z, c), frozenset)
+                if len(dsts) > 1:
+                    several += 1
+                    with pytest.raises(ValueError, match="nondeterministic"):
+                        a.det_successor(z, c)
+                else:
+                    assert a.det_successor(z, c) == next(iter(dsts), None)
+        assert complete(a).validate().is_complete
+    assert several > 1000
 
 
 def test_chain_lengths_matches_graphlib_reference():
@@ -333,5 +355,5 @@ def test_hashable_and_structural_equality():
     a2 = two_state()
     assert a1 == a2 and hash(a1) == hash(a2)
     assert len({a1, a2}) == 1
-    _ = a1._successors  # warming caches must not affect equality
+    _ = a1._tables  # warming caches must not affect equality
     assert a1 == a2 and hash(a1) == hash(a2)

@@ -2,14 +2,21 @@
 
 Invariants are real checks, never ``assert`` statements, because running
 under ``python -O`` strips those.  The package imports nothing outside the
-standard library, so its runtime dependency list stays empty.
+standard library, so its runtime dependency list stays empty.  Every
+function the benchmark's tracer wraps still exists, so a traced run reports
+all its per-layer metrics.
 """
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import po2buchi
+from po2buchi.core import Po2Automaton
 
 SOURCES = sorted(Path(po2buchi.__file__).resolve().parent.glob("*.py"))
 
@@ -46,3 +53,26 @@ def test_absolute_imports_are_stdlib_only():
                 if m.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert found == []
+
+
+def test_traced_functions_exist():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    if not path.is_file():
+        pytest.skip("no perfbench/tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{home}.{name}"
+        for home, names in tracing.FUNCTIONS.values()
+        for name in names
+        if not hasattr(importlib.import_module(f"po2buchi.{home}"), name)
+    ]
+    missing += [
+        f"Po2Automaton.{method}"
+        for method in tracing.METHODS.values()
+        if method not in vars(Po2Automaton)
+    ]
+    assert missing == []
+    cli = importlib.import_module("po2buchi.cli")
+    assert any(name.startswith("_cmd_") for name in dir(cli))
