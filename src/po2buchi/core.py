@@ -118,15 +118,14 @@ class Po2Automaton:
     def det_successor(self, state: str, letter: str) -> str | None:
         """The unique successor, None if there is none, error if several.
 
-        One lookup in the machine's flat successor table; hot loops read
-        ``_tables`` themselves and call this only where a key is missing.
+        A lookup in the machine's flat successor table, which hot loops
+        also read directly.
         """
         delta, several = self._tables
-        nxt = delta.get((state, letter))
-        if nxt is None and (state, letter) in several:
+        if (state, letter) in several:
             out = sorted(several[state, letter])
             raise ValueError(f"nondeterministic on ({state!r}, {letter!r}): {out}")
-        return nxt
+        return delta.get((state, letter))
 
     @cached_property
     def _selfloops(self) -> dict[str, frozenset[str]]:
