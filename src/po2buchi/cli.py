@@ -153,7 +153,6 @@ def _cmd_member(args, out: TextIO) -> int:
 
 def _cmd_empty(args, out: TextIO) -> int:
     a = _load(args.automaton)
-    require(a)
     witness = is_empty(a, budget=args.budget)
     if witness is None:
         print("empty", file=out)
@@ -178,8 +177,6 @@ def _cmd_includes(args, out: TextIO) -> int:
 def _cmd_equiv(args, out: TextIO) -> int:
     a = _load(args.left)
     b = _load(args.right)
-    require(a, deterministic=True)
-    require(b, deterministic=True)
     verdict = equivalent(a, b, budget=args.budget)
     if verdict is None:
         print("equivalent", file=out)
@@ -192,7 +189,6 @@ def _cmd_equiv(args, out: TextIO) -> int:
 
 def _cmd_universal(args, out: TextIO) -> int:
     a = _load(args.automaton)
-    require(a, deterministic=True)
     witness = is_universal(a, budget=args.budget)
     if witness is None:
         print("universal", file=out)
@@ -203,7 +199,6 @@ def _cmd_universal(args, out: TextIO) -> int:
 
 def _cmd_to_monomials(args, out: TextIO) -> int:
     a = _load(args.automaton)
-    require(a, deterministic=True)
     for monomial in automaton_to_polynomial(a):
         print(monomial, file=out)
     return 0

@@ -112,6 +112,8 @@ def equivalent(
     Side "left" means the witness is accepted by the first machine only,
     "right" by the second only.  Both machines must be deterministic.
     """
+    require(a, deterministic=True)
+    require(b, deterministic=True)
     cand = includes(a, b, budget=budget)
     if cand is not None:
         return ("left", cand)

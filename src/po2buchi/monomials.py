@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from graphlib import TopologicalSorter
 from itertools import combinations, product
 
 from .boolean import product_union
@@ -228,8 +227,7 @@ def relativize(
     if marker in forbid:
         raise ValueError("marker cannot be a forbidden letter")
     b = prune_unreachable(b)
-    graph = {z: {d for s, c, d in b.transitions if s == z and d != z} for z in b.states}
-    order = [z for z in TopologicalSorter(graph).static_order()][::-1]
+    delta = b._tables[0]  # deterministic: every transition is in it
 
     xs = set(b.x_states)
     ys = set(b.y_states)
@@ -250,17 +248,16 @@ def relativize(
 
     dead_x: str | None = None
     (z0,) = b.initial
-    for z in order:
+    for z in reversed(b._order[0]):  # each state before its successors
+        moves = {c: delta[z, c] for c in b.alphabet if (z, c) in delta}
         if z in b.x_states:
-            transitions.update((s, c, d) for s, c, d in b.transitions if s == z)
+            transitions.update((z, c, d) for c, d in moves.items())
             continue
-        loops = b.selfloop_letters(z)
-        changes = [
-            (c, d) for s, c, d in b.transitions if s == z and d != z and c != LEND
-        ]
+        loops = {c for c, d in moves.items() if d == z}
+        changes = [(c, d) for c, d in moves.items() if d != z]
         live = [(c, d) for c, d in changes if d in alive]
         doomed = [c for c, d in changes if d not in alive]
-        bounce = b.det_successor(z, LEND)
+        bounce = delta.get((z, LEND))
         # gadget names must dodge states a nested pass may already have made
         taken = xs | ys
         skip = fresh_name(f"{z}.skip", taken)
@@ -379,6 +376,30 @@ def _graft(
     return init
 
 
+def _first_occurrence_cases(segments, markers, b: str) -> list[tuple]:
+    """Where the first ``b`` of a word in ``A1* a1 A2* a2 ...`` can sit.
+
+    At the first marker equal to ``b``, if there is one, then inside each
+    segment ``j >= 1`` before it that allows ``b``; ``b`` must not be in the
+    first segment.  A case is the part before that ``b``, with ``b`` taken
+    out of its segments, and the part from the next marker, or from segment
+    ``j``, on: ``(segments, markers, rest segments, rest markers)``.
+    """
+
+    def split(j: int, rest: int) -> tuple:
+        prefix = tuple(s - {b} for s in segments[: j + 1])
+        return prefix, markers[:j], segments[rest:], markers[rest:]
+
+    cases = []
+    stop = len(segments)
+    if b in markers:
+        t = markers.index(b)
+        cases.append(split(t, t + 1))
+        stop = t + 1
+    cases += [split(j, j) for j in range(1, stop) if b in segments[j]]
+    return cases
+
+
 def finite_monomial_acceptor(
     segments,
     markers,
@@ -453,27 +474,7 @@ def finite_monomial_acceptor(
         no_b_entry = _graft(thinned, "nb.", "yes", "no", xs, ys, transitions)
     transitions.add(("r0", LEND, no_b_entry))
 
-    cases: list[tuple[tuple[frozenset[str], ...], tuple[str, ...], tuple, tuple]] = []
-    if b in markers:
-        t = markers.index(b)
-        cases.append(
-            (
-                tuple(s - {b} for s in segments[: t + 1]),
-                markers[:t],
-                segments[t + 1 :],
-                markers[t + 1 :],
-            )
-        )
-    for s_idx in range(1, len(segments)):
-        if b in segments[s_idx] and b not in markers[:s_idx]:
-            cases.append(
-                (
-                    tuple(s - {b} for s in segments[: s_idx + 1]),
-                    markers[:s_idx],
-                    segments[s_idx:],
-                    markers[s_idx:],
-                )
-            )
+    cases = _first_occurrence_cases(segments, markers, b)
     if not cases:
         raise RuntimeError("split letter admits no first-occurrence case")
 
@@ -580,25 +581,10 @@ def _det_build(m: Monomial, alphabet: frozenset[str]) -> Po2Automaton:
     if first is None:
         raise ValueError(f"monomial is not restricted: {m}")
     a = m.markers[first]
-    cases: list[tuple[tuple, tuple, Monomial]] = [
-        (
-            tuple(s - {a} for s in m.segments[: first + 1]),
-            m.markers[:first],
-            Monomial(m.segments[first + 1 :], m.markers[first + 1 :], m.tail),
-        )
-    ]
-    for j in range(1, first + 1):
-        if a in m.segments[j]:
-            cases.append(
-                (
-                    tuple(s - {a} for s in m.segments[: j + 1]),
-                    m.markers[:j],
-                    Monomial(m.segments[j:], m.markers[j:], m.tail),
-                )
-            )
+    cases = _first_occurrence_cases(m.segments, m.markers, a)
     machines = [
-        _assemble_case(p_segs, p_marks, q, a, alphabet)
-        for p_segs, p_marks, q in cases
+        _assemble_case(p_segs, p_marks, Monomial(q_segs, q_marks, m.tail), a, alphabet)
+        for p_segs, p_marks, q_segs, q_marks in cases
     ]
     return reduce(product_union, machines)
 

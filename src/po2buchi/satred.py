@@ -10,7 +10,6 @@ adversarial generator for the decision procedures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 
 from .core import LEND, Po2Automaton
 from .decide import is_empty
@@ -47,15 +46,26 @@ class Or:
 PropFormula = Var | Not | And | Or
 
 
+def _children(g: PropFormula) -> tuple[PropFormula, ...]:
+    if isinstance(g, Var):
+        return ()
+    if isinstance(g, Not):
+        return (g.child,)
+    if isinstance(g, (And, Or)):
+        return (g.left, g.right)
+    raise TypeError(f"not a formula: {g!r}")
+
+
 def var_count(f: PropFormula) -> int:
     """Largest variable index appearing in the formula."""
-    if isinstance(f, Var):
-        return f.index
-    if isinstance(f, Not):
-        return var_count(f.child)
-    if isinstance(f, (And, Or)):
-        return max(var_count(f.left), var_count(f.right))
-    raise TypeError(f"not a formula: {f!r}")
+    top = 0
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        stack.extend(_children(g))
+        if isinstance(g, Var):
+            top = max(top, g.index)
+    return top
 
 
 class FormulaSyntaxError(ValueError):
@@ -144,57 +154,51 @@ def parse_formula(text: str) -> PropFormula:
 def build_sat_automaton(f: PropFormula) -> Po2Automaton:
     """A deterministic machine over {0, 1} accepting the satisfying inputs of f.
 
-    Each variable reader walks right to its position, remembers the bit there,
-    returns to the left end, and reports: a 1 leads to the shared "true" loop
-    state, a 0 to "false", with negation swapping the two reports and the
-    binary connectives rewiring one report into the next reader.  "true" and
-    "false" are the only right-moving states with letter self-loops, both are
-    entered by left-end transitions only, and "true" is the sole final state.
+    Reader n, for the n-th variable from the left, walks right to its
+    position, remembers the bit there, returns to the left end, and reports
+    a 1 or a 0 to the two states it was handed.  The formula is walked top
+    down with an explicit stack: the root reports to the shared "true" and
+    "false" loop states, ``Not`` swaps its two targets, and ``And`` (``Or``)
+    hands its left side's "true" ("false") target to its right side's entry.
+    So every transition is written once, in time linear in the machine size.
+    "true" and "false" are the only right-moving states with letter
+    self-loops, both are entered by left-end transitions only, and "true" is
+    the sole final state.
     """
-    fresh = count(1)
-    xs: set[str] = set()
-    ys: set[str] = set()
+    # Leaves per node, children before parents, to name a right side's entry.
+    nodes = [f]
+    for g in nodes:
+        nodes.extend(_children(g))
+    leaves: dict[int, int] = {}
+    for g in reversed(nodes):
+        kids = _children(g)
+        leaves[id(g)] = sum(leaves[id(k)] for k in kids) if kids else 1
 
-    def reader(g: PropFormula) -> tuple[str, set[tuple[str, str, str]]]:
-        """Entry state and transitions, reporting to "@true"/"@false"."""
+    xs: set[str] = {"true", "false"}
+    ys: set[str] = set()
+    transitions = {(z, c, z) for z in ("true", "false") for c in "01"}
+    n = 0  # readers built so far
+    stack: list[tuple[PropFormula, str, str]] = [(f, "true", "false")]
+    while stack:
+        g, on1, on0 = stack.pop()
         if isinstance(g, Var):
-            n = next(fresh)
+            n += 1
             walk = [f"r{n}.at{j}" for j in range(1, g.index + 1)]
             saw0, saw1 = f"r{n}.saw0", f"r{n}.saw1"
             xs.update(walk)
-            ys.update({saw0, saw1})
-            trans: set[tuple[str, str, str]] = set()
+            ys.update((saw0, saw1))
             for here, there in zip(walk, walk[1:]):
-                trans.update((here, c, there) for c in "01")
-            trans.add((walk[-1], "0", saw0))
-            trans.add((walk[-1], "1", saw1))
-            for c in "01":
-                trans.add((saw0, c, saw0))
-                trans.add((saw1, c, saw1))
-            trans.add((saw1, LEND, "@true"))
-            trans.add((saw0, LEND, "@false"))
-            return walk[0], trans
-        if isinstance(g, Not):
-            entry, trans = reader(g.child)
-            flip = {"@true": "@false", "@false": "@true"}
-            return entry, {(s, c, flip.get(d, d)) for s, c, d in trans}
-        if isinstance(g, (And, Or)):
-            entry, trans = reader(g.left)
-            entry_right, trans_right = reader(g.right)
-            forwarded = "@true" if isinstance(g, And) else "@false"
-            rewired = {
-                (s, c, entry_right if d == forwarded else d) for s, c, d in trans
-            }
-            return entry, rewired | trans_right
-        raise TypeError(f"not a formula: {g!r}")
-
-    entry, trans = reader(f)
-    bind = {"@true": "true", "@false": "false"}
-    transitions = {(s, c, bind.get(d, d)) for s, c, d in trans}
-    xs.update(("true", "false"))
-    transitions.update(("true", c, "true") for c in "01")
-    transitions.update(("false", c, "false") for c in "01")
-    return Po2Automaton("01", xs, ys, transitions, {entry}, {"true"})
+                transitions.update((here, c, there) for c in "01")
+            transitions.update((saw, c, saw) for saw in (saw0, saw1) for c in "01")
+            transitions.update({(walk[-1], "0", saw0), (walk[-1], "1", saw1)})
+            transitions.update({(saw0, LEND, on0), (saw1, LEND, on1)})
+        elif isinstance(g, Not):
+            stack.append((g.child, on0, on1))
+        else:
+            entry = f"r{n + leaves[id(g.left)] + 1}.at1"
+            stack.append((g.right, on1, on0))
+            stack.append((g.left, entry, on0) if isinstance(g, And) else (g.left, on1, entry))
+    return Po2Automaton("01", xs, ys, transitions, {"r1.at1"}, {"true"})
 
 
 def sat_via_emptiness(

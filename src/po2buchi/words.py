@@ -88,10 +88,6 @@ def is_scattered_subword(x: str, w: str) -> bool:
     return all(c in it for c in x)
 
 
-def is_suffix(x: str, w: str) -> bool:
-    return w.endswith(x)
-
-
 @dataclass(frozen=True)
 class PrefixFactorization:
     """The greedy marker factorization ``u1 a1 ... um am . residual``.
@@ -180,7 +176,7 @@ def is_k_prefix_compatible(w: str, k: int, f: PrefixFactorization) -> bool:
     if not 1 <= k <= m:
         raise ValueError(f"index {k} out of range 1..{m}")
     tail_markers = "".join(f.markers[k - 1 :])
-    return is_scattered_subword(tail_markers, w) and is_suffix(w, f.factored_prefix(k))
+    return is_scattered_subword(tail_markers, w) and f.factored_prefix(k).endswith(w)
 
 
 def compatibility_step(

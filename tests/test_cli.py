@@ -252,8 +252,11 @@ def test_to_monomials_on_a_long_chain(tmp_path):
 
 
 def test_internal_errors_exit_4(tmp_path, monkeypatch, capsys):
-    # build_sat_automaton recurses once per connective, so this overflows the stack.
-    assert main(["sat", " & ".join(["v1"] * 1200)]) == 4
+    def overflowing(args, out):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_sat", overflowing)
+    assert main(["sat", "v1"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and err.count("\n") == 1
 
@@ -268,6 +271,13 @@ def test_internal_errors_exit_4(tmp_path, monkeypatch, capsys):
 def test_sat_on_a_deeply_nested_formula():
     code, out = run_cli(["sat", "(" * 300 + "v1" + ")" * 300])
     assert (code, out) == (0, "sat v1=1\n")
+
+
+def test_sat_on_long_conjunctions():
+    # The formula machine is built in one pass, with no recursion.
+    for terms in (1200, 10_000):
+        code, out = run_cli(["sat", " & ".join(["v1"] * terms)])
+        assert (code, out) == (0, "sat v1=1\n")
 
 
 def test_reports_are_deterministic(tmp_path):

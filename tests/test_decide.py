@@ -45,6 +45,18 @@ def only_all_a_machine() -> Po2Automaton:
     return Po2Automaton("ab", {"p", "dead"}, set(), transitions, {"p"}, {"p"})
 
 
+def branching_machine() -> Po2Automaton:
+    """Nondeterministic: from q, an a may stay or move to the final r."""
+    return Po2Automaton(
+        "ab",
+        {"q", "r"},
+        set(),
+        {("q", "a", "q"), ("q", "a", "r"), ("q", "b", "q"), ("r", "a", "r"), ("r", "b", "r")},
+        {"q"},
+        {"r"},
+    )
+
+
 def first_accepted(a: Po2Automaton, max_len: int) -> Witness | None:
     """Independent length-lexicographic scan used as the ordering oracle."""
     letters = sorted(a.alphabet)
@@ -182,6 +194,14 @@ def test_equivalent_sides_name_the_accepting_machine():
     assert not membership_nondet(narrow, w.word())
 
 
+def test_equivalent_requires_both_deterministic():
+    # L(nondet) is not inside the empty language, so a check of the second
+    # machine alone would answer "left" before it ever looked at the first.
+    for pair in ((branching_machine(), empty_machine()), (empty_machine(), branching_machine())):
+        with pytest.raises(ValueError, match="need a well-formed, deterministic machine"):
+            equivalent(*pair)
+
+
 def test_equivalent_machine_and_its_complement_differ():
     rng = random.Random(408)
     for _ in range(10):
@@ -233,14 +253,7 @@ def test_rejects_bad_inputs():
     over_abc = universal_machine("abc")
     with pytest.raises(ValueError, match="shared alphabet"):
         includes(over_ab, over_abc)
-    nondet = Po2Automaton(
-        "ab",
-        {"q", "r"},
-        set(),
-        {("q", "a", "q"), ("q", "a", "r"), ("q", "b", "q"), ("r", "a", "r"), ("r", "b", "r")},
-        {"q"},
-        {"r"},
-    )
+    nondet = branching_machine()
     with pytest.raises(ValueError, match="deterministic"):
         includes(over_ab, nondet)
     with pytest.raises(ValueError, match="deterministic"):

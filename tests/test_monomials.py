@@ -11,6 +11,7 @@ from helpers import (
     random_lasso,
     random_monomial,
     random_restricted_monomial,
+    reference_relativize,
     sample_from_monomial,
 )
 from po2buchi.core import LEND, Po2Automaton, chain_lengths, complete
@@ -366,6 +367,18 @@ def test_relativize_shifted_run_invariant():
             got = simulate_from(r, shifted, init, len(u) + 2).verdict
             assert got == want, (sorted(b.transitions), marker, u, str(beta))
         checked += 1
+
+
+def test_relativize_matches_graphlib_reference():
+    rng = random.Random(10)
+    for alphabet in ("ab", "abc"):
+        for full in (True, False):
+            for _ in range(150):
+                b = random_det_automaton(rng, alphabet, 7, complete=full)
+                marker = rng.choice(alphabet)
+                forbid = frozenset(c for c in alphabet if c != marker and rng.random() < 0.3)
+                want = reference_relativize(b, marker, forbid=forbid)
+                assert relativize(b, marker, forbid=forbid) == want
 
 
 def test_relativize_nested_gadget_names_regression():

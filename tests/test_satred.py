@@ -5,7 +5,12 @@ from itertools import product
 
 import pytest
 
-from helpers import evaluate_formula, formula_reader_cost, random_formula
+from helpers import (
+    evaluate_formula,
+    formula_reader_cost,
+    random_formula,
+    reference_sat_automaton,
+)
 from po2buchi.core import LEND
 from po2buchi.run import membership_nondet
 from po2buchi.satred import (
@@ -98,6 +103,36 @@ def test_variable_indices_start_at_one():
         Var(0)
     assert var_count(Var(3)) == 3
     assert var_count(And(Var(2), Not(Or(Var(5), Var(1))))) == 5
+
+
+def test_var_count_without_recursion():
+    f = Var(3)
+    for _ in range(10_000):
+        f = Not(f)
+    assert var_count(f) == 3
+    chain = Var(1)
+    for i in range(2, 10_001):
+        chain = Or(chain, Var(i % 40 + 1))
+    assert var_count(chain) == 40
+    assert var_count(And(Var(2), chain)) == 40
+
+
+def test_build_without_recursion():
+    f = Var(2)
+    for _ in range(10_000):
+        f = Not(f)
+    assert build_sat_automaton(f) == build_sat_automaton(Var(2))
+    a = build_sat_automaton(Not(f))
+    assert a.final == frozenset({"true"}) and a.validate().is_deterministic
+    assert membership_nondet(a, LassoWord("10", "0"))
+    assert not membership_nondet(a, LassoWord("11", "0"))
+
+
+def test_build_matches_recursive_reference():
+    rng = random.Random(506)
+    for _ in range(400):
+        f = random_formula(rng, max_leaves=rng.randint(1, 8), max_var=rng.randint(1, 6))
+        assert build_sat_automaton(f) == reference_sat_automaton(f)
 
 
 def test_single_variable_machine():
