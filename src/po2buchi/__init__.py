@@ -17,6 +17,7 @@ from .core import (
     ensure_x_initial,
     prune_unreachable,
     relabel,
+    require,
 )
 from .decide import BudgetExceeded, Witness, equivalent, includes, is_empty, is_universal
 from .monomials import (
@@ -90,6 +91,7 @@ __all__ = [
     "product_intersection",
     "product_union",
     "relabel",
+    "require",
     "run_det",
     "sat_via_emptiness",
     "var_count",

@@ -1,15 +1,18 @@
 """Boolean combinations of deterministic machines via a two-head product.
 
-Two complete deterministic machines run side by side.  While both sit in X
-states they read in lockstep (sync states); the letters read at joint state
-changes are pushed on a bounded stack.  When one machine dives into a Y
-state, the other freezes in its pre-dive state and the diver is followed
-alone, paired with a compatibility index into the stack word
+Two complete deterministic machines run side by side.  One step rule moves
+the product, over keys ``(active, s1, s2, sig, k)``.  While both machines
+sit in X states they read in lockstep (``active`` and ``k`` are 0), and the
+letters read at joint state changes are pushed on the bounded stack word
+``sig``.  When one machine dives into a Y state it becomes ``active``: the
+other freezes in its pre-dive state and the diver is followed alone, paired
+with a compatibility index ``k`` into the stack word
 (:mod:`po2buchi.compat`).  The index certifies how much of the factored
 prefix still separates the diver from the freeze position; the tracker
 deliberately has no transition for the step that would cross back over that
-position, so exactly there both machines take their (deferred) step and the
-product re-synchronizes.  Acceptance is decided on sync states only.
+position, so exactly there both machines take their (deferred) step, as in
+lockstep but with the stack as it is.  Y keys read the left-end marker
+through the same rule.  Acceptance is decided on lockstep states only.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ UNION = "union"
 INTERSECTION = "intersection"
 COMPLEMENT = "complement"
 
-_SyncKey = tuple[str, str, str, str]
-_Key = tuple
+_Key = tuple[int, str, str, str, int]  # (active, s1, s2, sig, k)
 
 
 def _product(
@@ -47,82 +49,62 @@ def _product(
     ops = {1: a, 2: b}
     cap = chain_lengths(a)[1] + chain_lengths(b)[1] - 2
     letters = sorted(a.alphabet)
+    y_letters = letters + [LEND]
     # Both operands are complete and deterministic, so every key is there.
     delta1 = a._tables[0]
     delta2 = b._tables[0]
 
-    def route(pre1: str, pre2: str, post1: str, post2: str, sig: str) -> _Key:
-        # A diving machine becomes active; the other slot keeps the state
-        # whose transition is re-issued when the diver crosses back.
-        if post1 in a.y_states:
-            return ("a", 1, post1, pre2, sig, len(sig))
-        if post2 in b.y_states:
-            return ("a", 2, pre1, post2, sig, len(sig))
-        return ("s", post1, post2, sig)
-
-    def sync_step(key: _Key, c: str) -> _Key:
-        _, x1, x2, sig = key
-        z1 = delta1[x1, c]
-        z2 = delta2[x2, c]
-        if z1 != x1 or z2 != x2:
-            sig = sig + c
+    def step(key: _Key, c: str) -> _Key:
+        active, s1, s2, sig, k = key
+        if active:
+            hit = tracker_step(ops[active], sig, s1 if active == 1 else s2, k, c)
+            if hit is not None:
+                z, k = hit
+                return (1, z, s2, sig, k) if active == 1 else (2, s1, z, sig, k)
+        # In lockstep, and where the tracker is silent (exactly at the
+        # crossing), both machines take their step at the freeze position.
+        z1 = delta1[s1, c]
+        z2 = delta2[s2, c]
+        if active:
+            if not ops[active].is_x(z1 if active == 1 else z2):
+                raise RuntimeError("internal: the diver is not in an X state after the crossing")
+        elif z1 != s1 or z2 != s2:
+            sig += c
             if len(sig) > cap:
                 raise RuntimeError("internal: stack outgrew the chain-length bound")
-        return route(x1, x2, z1, z2, sig)
-
-    def async_step(key: _Key, c: str) -> _Key:
-        _, active, s1, s2, sig, k = key
-        live = s1 if active == 1 else s2
-        hit = tracker_step(ops[active], sig, live, k, c)
-        if hit is not None:
-            z, k2 = hit
-            return ("a", active, z, s2, sig, k2) if active == 1 else ("a", active, s1, z, sig, k2)
-        # The tracker is silent exactly at the crossing: both machines take
-        # their step at the freeze position and the stack stays as is.
-        post1 = delta1[s1, c]
-        post2 = delta2[s2, c]
-        if not ops[active].is_x(post1 if active == 1 else post2):
-            raise RuntimeError("internal: the diver is not in an X state after the crossing")
-        return route(s1, s2, post1, post2, sig)
+        # A diving machine becomes active; the other slot keeps the state
+        # whose transition is re-issued when the diver crosses back.
+        if z1 in a.y_states:
+            return (1, z1, s2, sig, len(sig))
+        if z2 in b.y_states:
+            return (2, s1, z2, sig, len(sig))
+        return (0, z1, z2, sig, 0)
 
     def is_x_key(key: _Key) -> bool:
-        if key[0] == "s":
-            return True
-        _, active, s1, s2, _, _ = key
-        return ops[active].is_x(s1 if active == 1 else s2)
+        active, s1, s2, _, _ = key
+        return not active or ops[active].is_x(s1 if active == 1 else s2)
 
     def name_of(key: _Key) -> str:
-        if key[0] == "s":
-            return f"s|{key[1]}|{key[2]}|{key[3]}"
-        return f"a{key[1]}|{key[2]}|{key[3]}|{key[4]}|{key[5]}"
+        active, s1, s2, sig, k = key
+        return f"a{active}|{s1}|{s2}|{sig}|{k}" if active else f"s|{s1}|{s2}|{sig}"
 
     (i1,) = a.initial
     (i2,) = b.initial
-    start: _Key = ("s", i1, i2, "")
+    start: _Key = (0, i1, i2, "", 0)
     names = {start: name_of(start)}  # every key seen, named when first met
     queue = [start]
     transitions: set[tuple[str, str, str]] = set()
     while queue:
         key = queue.pop()
-        if key[0] == "a" and not 1 <= key[5] <= len(key[4]):
+        if key[0] and not 1 <= key[4] <= len(key[3]):
             raise RuntimeError("internal: tracker index left the stack word")
         src = names[key]
-        step = sync_step if key[0] == "s" else async_step
-        for c in letters:
+        for c in letters if is_x_key(key) else y_letters:
             nxt = step(key, c)
             if nxt not in names:
                 names[nxt] = name_of(nxt)
                 queue.append(nxt)
             transitions.add((src, c, names[nxt]))
-        if not is_x_key(key):
-            _, active, s1, s2, sig, k = key
-            live = s1 if active == 1 else s2
-            z, k2 = tracker_step(ops[active], sig, live, k, LEND)
-            nxt = ("a", active, z, s2, sig, k2) if active == 1 else ("a", active, s1, z, sig, k2)
-            if nxt not in names:
-                names[nxt] = name_of(nxt)
-                queue.append(nxt)
-            transitions.add((src, LEND, names[nxt]))
 
     if len(set(names.values())) != len(names):
         raise RuntimeError("internal: product state names collided")
@@ -139,7 +121,7 @@ def _product(
         {name for k, name in names.items() if not is_x_key(k)},
         transitions,
         {names[start]},
-        {name for k, name in names.items() if k[0] == "s" and accept(k[1], k[2])},
+        {name for k, name in names.items() if not k[0] and accept(k[1], k[2])},
     )
 
 

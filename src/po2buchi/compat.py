@@ -42,15 +42,14 @@ def tracker_step(a: Po2Automaton, v: str, z: str, k: int, c: str) -> TrackerStat
     """The tracker's move from state z at index k on letter c, or None.
 
     None where the machine has no transition and at the forbidden crossing
-    case.  The caller must have checked the machine and the marker word
-    (as :func:`tracker_table` does) and keep ``1 <= k <= len(v)``.
+    case.  The marker is no letter of ``v``, so a bounce keeps the index.
+    The caller must have checked the machine and the marker word (as
+    :func:`tracker_table` does) and keep ``1 <= k <= len(v)``.
     """
     nxt = a._tables[0].get((z, c))
     if nxt is None:
         return None
     ys = a.y_states
-    if c == LEND:  # a bounce keeps the index
-        return (nxt, k) if z in ys else None
     left = k - 1 if z in ys and k > 1 and c == v[k - 2] else k
     if nxt in ys or c != v[left - 1]:
         return nxt, left

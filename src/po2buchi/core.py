@@ -406,9 +406,9 @@ def disjoint_union(parts: Iterable[Po2Automaton]) -> Po2Automaton:
     renamed = [relabel(p, lambda z, i=i: f"m{i}_{z}") for i, p in enumerate(parts)]
     return Po2Automaton(
         alphabet,
-        frozenset().union(*(p.x_states for p in renamed)) if renamed else frozenset(),
-        frozenset().union(*(p.y_states for p in renamed)) if renamed else frozenset(),
-        frozenset().union(*(p.transitions for p in renamed)) if renamed else frozenset(),
-        frozenset().union(*(p.initial for p in renamed)) if renamed else frozenset(),
-        frozenset().union(*(p.final for p in renamed)) if renamed else frozenset(),
+        frozenset().union(*(p.x_states for p in renamed)),
+        frozenset().union(*(p.y_states for p in renamed)),
+        frozenset().union(*(p.transitions for p in renamed)),
+        frozenset().union(*(p.initial for p in renamed)),
+        frozenset().union(*(p.final for p in renamed)),
     )

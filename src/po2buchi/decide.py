@@ -82,10 +82,10 @@ def includes(
 ) -> Witness | None:
     """None when L(a) is a subset of L(b); otherwise a word in L(a) - L(b).
 
-    The second machine must be deterministic (its complement drives the
-    search); the first may be nondeterministic.  Counterexamples are found
-    within spoke length |states(a)| + |states(b)| + 2, the two extra letters
-    covering the completion sinks.
+    The second machine must be deterministic (a candidate counts where its
+    run does not accept); the first may be nondeterministic.
+    Counterexamples are found within spoke length |states(a)| + |states(b)|
+    + 2, the two extra letters covering the completion sinks.
     """
     if frozenset(a.alphabet) != frozenset(b.alphabet):
         raise ValueError("inclusion needs a shared alphabet")
@@ -93,13 +93,14 @@ def includes(
     require(b, deterministic=True)
     if not a.alphabet:
         return None
-    b_bar = complement(complete(b))
     bound = len(a.states) + len(b.states) + 2
     meter = _Meter(budget, "inclusion check")
     for cand in _candidates(a.alphabet, bound):
         meter.tick()
         w = cand.word()
-        if run_det(b_bar, w).verdict == ACCEPTED and membership_nondet(a, w):
+        # A run of b that needs a missing transition ends stuck, where its
+        # completion would sit in the non-accepting sink.
+        if run_det(b, w).verdict != ACCEPTED and membership_nondet(a, w):
             return cand
     return None
 

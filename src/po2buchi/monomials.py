@@ -235,16 +235,10 @@ def relativize(
     transitions: set[tuple[str, str, str]] = set()
     loop_base = b.alphabet - forbid
 
-    rev: dict[str, set[str]] = {z: set() for z in b.states}
-    for s, _, d in b.transitions:
-        rev[d].add(s)
-    alive: set[str] = set()
-    stack = list(b.final)
-    while stack:
-        s = stack.pop()
-        if s not in alive:
-            alive.add(s)
-            stack.extend(rev[s])
+    alive: set[str] = set()  # the states that can reach a final state
+    for z in b._order[0]:  # each state after its successors
+        if z in b.final or not alive.isdisjoint(b._change_edges[z]):
+            alive.add(z)
 
     dead_x: str | None = None
     (z0,) = b.initial
@@ -594,10 +588,9 @@ def _assemble_case(
 ) -> Po2Automaton:
     """One first-occurrence case: find the split letter, rewind, check the
     prefix with a finite acceptor, then run the relativized tail machine."""
-    tail_machine = prune_unreachable(
-        ensure_x_initial(complete(_det_build(q, alphabet)))
-    )
-    tail_hat = relabel(relativize(tail_machine, a), lambda s: "q." + s)
+    # _det_build returns complete machines with an X initial state, and
+    # relativize prunes its own input.
+    tail_hat = relabel(relativize(_det_build(q, alphabet), a), lambda s: "q." + s)
     prefix_acc = finite_monomial_acceptor(p_segs, p_marks, a, alphabet)
 
     xs = set(tail_hat.x_states) | {"scan", "dead"}

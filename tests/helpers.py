@@ -10,8 +10,19 @@ later, faster code is checked against.
 import random
 from graphlib import CycleError, TopologicalSorter
 
-from po2buchi.compat import _check_tracker_args
-from po2buchi.core import LEND, Po2Automaton, ValidationReport
+from po2buchi.compat import _check_tracker_args, tracker_step
+from po2buchi.core import (
+    LEND,
+    Po2Automaton,
+    ValidationReport,
+    chain_lengths,
+    complement,
+    complete,
+    ensure_x_initial,
+    require,
+)
+from po2buchi.decide import _candidates, _Meter
+from po2buchi.run import ACCEPTED, membership_nondet, run_det
 
 
 def random_det_automaton(
@@ -468,3 +479,129 @@ def reference_relativize(
 
     result = Po2Automaton(b.alphabet, xs, ys, transitions, b.initial, final)
     return prune_unreachable(result)
+
+
+def reference_product(a: Po2Automaton, b: Po2Automaton, accept) -> Po2Automaton:
+    """The Boolean product as first written, with separate lockstep and
+    diving step rules over two key shapes and its own left-end block: the
+    oracle for ``boolean._product``.  ``accept(x1, x2)`` decides a lockstep
+    state from the operands' states."""
+    require(a, deterministic=True, complete=True)
+    require(b, deterministic=True, complete=True)
+    if a.alphabet != b.alphabet:
+        raise ValueError("product operands need the same alphabet")
+    a = ensure_x_initial(a)
+    b = ensure_x_initial(b)
+    ops = {1: a, 2: b}
+    cap = chain_lengths(a)[1] + chain_lengths(b)[1] - 2
+    letters = sorted(a.alphabet)
+    delta1 = a._tables[0]
+    delta2 = b._tables[0]
+
+    def route(pre1, pre2, post1, post2, sig):
+        if post1 in a.y_states:
+            return ("a", 1, post1, pre2, sig, len(sig))
+        if post2 in b.y_states:
+            return ("a", 2, pre1, post2, sig, len(sig))
+        return ("s", post1, post2, sig)
+
+    def sync_step(key, c):
+        _, x1, x2, sig = key
+        z1 = delta1[x1, c]
+        z2 = delta2[x2, c]
+        if z1 != x1 or z2 != x2:
+            sig = sig + c
+            if len(sig) > cap:
+                raise RuntimeError("internal: stack outgrew the chain-length bound")
+        return route(x1, x2, z1, z2, sig)
+
+    def async_step(key, c):
+        _, active, s1, s2, sig, k = key
+        live = s1 if active == 1 else s2
+        hit = tracker_step(ops[active], sig, live, k, c)
+        if hit is not None:
+            z, k2 = hit
+            return ("a", active, z, s2, sig, k2) if active == 1 else ("a", active, s1, z, sig, k2)
+        post1 = delta1[s1, c]
+        post2 = delta2[s2, c]
+        if not ops[active].is_x(post1 if active == 1 else post2):
+            raise RuntimeError("internal: the diver is not in an X state after the crossing")
+        return route(s1, s2, post1, post2, sig)
+
+    def is_x_key(key):
+        if key[0] == "s":
+            return True
+        _, active, s1, s2, _, _ = key
+        return ops[active].is_x(s1 if active == 1 else s2)
+
+    def name_of(key):
+        if key[0] == "s":
+            return f"s|{key[1]}|{key[2]}|{key[3]}"
+        return f"a{key[1]}|{key[2]}|{key[3]}|{key[4]}|{key[5]}"
+
+    (i1,) = a.initial
+    (i2,) = b.initial
+    start = ("s", i1, i2, "")
+    names = {start: name_of(start)}
+    queue = [start]
+    transitions = set()
+    while queue:
+        key = queue.pop()
+        if key[0] == "a" and not 1 <= key[5] <= len(key[4]):
+            raise RuntimeError("internal: tracker index left the stack word")
+        src = names[key]
+        step = sync_step if key[0] == "s" else async_step
+        for c in letters:
+            nxt = step(key, c)
+            if nxt not in names:
+                names[nxt] = name_of(nxt)
+                queue.append(nxt)
+            transitions.add((src, c, names[nxt]))
+        if not is_x_key(key):
+            _, active, s1, s2, sig, k = key
+            live = s1 if active == 1 else s2
+            z, k2 = tracker_step(ops[active], sig, live, k, LEND)
+            nxt = ("a", active, z, s2, sig, k2) if active == 1 else ("a", active, s1, z, sig, k2)
+            if nxt not in names:
+                names[nxt] = name_of(nxt)
+                queue.append(nxt)
+            transitions.add((src, LEND, names[nxt]))
+
+    if len(set(names.values())) != len(names):
+        raise RuntimeError("internal: product state names collided")
+    if cap == 0:
+        if len(names) != 1:
+            raise RuntimeError(f"internal: stack bound 0 but the product has {len(names)} states")
+    elif len(letters) >= 2:
+        bound = 3 * cap * len(a.states) * len(b.states) * len(letters) ** (cap + 1)
+        if len(names) > bound:
+            raise RuntimeError(f"internal: product has {len(names)} states, over the bound {bound}")
+    return Po2Automaton(
+        a.alphabet,
+        {name for k, name in names.items() if is_x_key(k)},
+        {name for k, name in names.items() if not is_x_key(k)},
+        transitions,
+        {names[start]},
+        {name for k, name in names.items() if k[0] == "s" and accept(k[1], k[2])},
+    )
+
+
+def reference_includes(a: Po2Automaton, b: Po2Automaton, *, budget=None):
+    """``decide.includes`` as first written, running the complement of the
+    completed second machine: the oracle for the version that runs it as
+    given."""
+    if frozenset(a.alphabet) != frozenset(b.alphabet):
+        raise ValueError("inclusion needs a shared alphabet")
+    require(a)
+    require(b, deterministic=True)
+    if not a.alphabet:
+        return None
+    b_bar = complement(complete(b))
+    bound = len(a.states) + len(b.states) + 2
+    meter = _Meter(budget, "inclusion check")
+    for cand in _candidates(a.alphabet, bound):
+        meter.tick()
+        w = cand.word()
+        if run_det(b_bar, w).verdict == ACCEPTED and membership_nondet(a, w):
+            return cand
+    return None

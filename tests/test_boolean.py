@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from helpers import random_det_automaton, random_lasso
+from helpers import random_det_automaton, random_lasso, reference_product
+from po2buchi import monomials
 from po2buchi.boolean import (
     boolean_combine,
     product_intersection,
@@ -12,6 +13,15 @@ from po2buchi.boolean import (
 )
 from po2buchi.core import LEND, Po2Automaton, chain_lengths
 from po2buchi.run import run_det
+
+# Monomials whose determinizations spend their time in the product.
+PRODUCT_HEAVY = [
+    "[c]*c.[a]*a.[]*b.[ab]w",
+    "[b]*b.[a]*a.[]*c.[a]w",
+    "[a]*a.[b]*b.[]*c.[ab]w",
+    "[a]*a.[c]*c.[]*b.[ab]w",
+    "[b]*b.[c]*c.[]*a.[a]w",
+]
 
 
 def y_initial_machine() -> Po2Automaton:
@@ -146,3 +156,40 @@ def test_union_intersection_idempotent_language():
             want = run_det(a, w).accepted
             assert run_det(u, w).accepted == want
             assert run_det(n, w).accepted == want
+
+
+def assert_products_match_reference(a: Po2Automaton, b: Po2Automaton) -> None:
+    """Union and intersection equal the first-written product, names included."""
+    union = reference_product(a, b, lambda x1, x2: x1 in a.final or x2 in b.final)
+    inter = reference_product(a, b, lambda x1, x2: x1 in a.final and x2 in b.final)
+    assert product_union(a, b) == union
+    assert product_intersection(a, b) == inter
+
+
+def test_product_matches_reference_on_random_pairs():
+    rng = random.Random(46)
+    for alphabet in ("ab", "abc"):
+        for _ in range(100):
+            a = random_det_automaton(rng, alphabet, 6)
+            b = random_det_automaton(rng, alphabet, 6)
+            assert_products_match_reference(a, b)
+    y = y_initial_machine()
+    for _ in range(20):
+        b = random_det_automaton(rng, "ab", 5)
+        assert_products_match_reference(y, b)
+        assert_products_match_reference(b, y)
+
+
+@pytest.mark.parametrize("literal", PRODUCT_HEAVY)
+def test_product_matches_reference_inside_determinization(monkeypatch, literal):
+    pairs = []
+
+    def spy(a, b):
+        pairs.append((a, b))
+        return product_union(a, b)
+
+    monkeypatch.setattr(monomials, "product_union", spy)
+    monomials.monomial_to_deterministic(monomials.parse_monomial(literal), alphabet="abc")
+    assert pairs
+    for a, b in pairs:
+        assert_products_match_reference(a, b)

@@ -6,6 +6,7 @@ from graphlib import CycleError
 
 import pytest
 
+import po2buchi
 from helpers import (
     random_det_automaton,
     random_nondet_automaton,
@@ -232,6 +233,11 @@ def test_require_is_the_one_gate():
         "need a well-formed machine; "
         "po2: state-changing transitions form a cycle: ['p', 'q', 'p']"
     )
+
+
+def test_require_is_exported():
+    assert po2buchi.require is require
+    assert "require" in po2buchi.__all__
 
 
 def test_complete_adds_single_sink():

@@ -6,7 +6,12 @@ from itertools import product
 
 import pytest
 
-from helpers import random_det_automaton, random_restricted_monomial
+from helpers import (
+    random_det_automaton,
+    random_nondet_automaton,
+    random_restricted_monomial,
+    reference_includes,
+)
 from po2buchi.boolean import product_union
 from po2buchi.core import Po2Automaton, chain_lengths, complement, complete, prune_unreachable
 from po2buchi.decide import BudgetExceeded, Witness, equivalent, includes, is_empty, is_universal
@@ -172,6 +177,30 @@ def test_includes_verdict_agrees_with_sampling():
                     w = LassoWord("".join(tup), c)
                     if membership_nondet(a, w):
                         assert run_det(b_bar, w).verdict != ACCEPTED
+
+
+def test_includes_matches_reference():
+    # The second machine runs as given; a stuck run counts as rejection,
+    # exactly where the reference's completion sinks it.
+    def outcome(fn, a, b, budget):
+        try:
+            return fn(a, b, budget=budget)
+        except BudgetExceeded:
+            return "budget"
+
+    rng = random.Random(48)
+    seen = set()
+    for trial in range(200):
+        if trial % 2:
+            a = random_nondet_automaton(rng, "ab", 3)
+        else:
+            a = random_det_automaton(rng, "ab", 3, complete=rng.random() < 0.5)
+        b = random_det_automaton(rng, "ab", 3, complete=trial % 4 < 2)
+        for budget in (None, 7):
+            want = outcome(reference_includes, a, b, budget)
+            assert outcome(includes, a, b, budget) == want, (trial, budget)
+            seen.add(want if want in (None, "budget") else "witness")
+    assert seen == {None, "budget", "witness"}
 
 
 def test_equivalent_reports_no_difference_on_self():

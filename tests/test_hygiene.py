@@ -3,8 +3,9 @@
 Invariants are real checks, never ``assert`` statements, because running
 under ``python -O`` strips those.  The package imports nothing outside the
 standard library, so its runtime dependency list stays empty.  Every
-function the benchmark's tracer wraps still exists, so a traced run reports
-all its per-layer metrics.
+private module-level name is used somewhere in the package.  Every function
+the benchmark's tracer wraps still exists, so a traced run reports all its
+per-layer metrics.
 """
 
 import ast
@@ -53,6 +54,32 @@ def test_absolute_imports_are_stdlib_only():
                 if m.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert found == []
+
+
+def test_private_names_are_used():
+    defined = set()
+    used = set()
+    for name, tree in parsed():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            defined.update(
+                f"{name}:{t}" for t in targets if t.startswith("_") and not t.startswith("__")
+            )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert sorted(d for d in defined if d.partition(":")[2] not in used) == []
 
 
 def test_traced_functions_exist():

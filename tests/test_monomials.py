@@ -428,6 +428,9 @@ def test_deterministic_round_trip_random():
         det = monomial_to_deterministic(m, alphabet="abc")
         report = det.validate()
         assert report.is_well_formed_po2 and report.is_deterministic and report.is_complete
+        # The machine as built has an X initial state, so tail machines go
+        # to relativize without completion or a fresh start state.
+        assert det.initial <= det.x_states
         for _ in range(25):
             w = random_lasso(rng, "abc", max_spoke=6, max_period=3)
             want = monomial_member(m, w)
