@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 LEND = "▷"  # left tape-end marker, never part of an input alphabet
 
@@ -285,8 +285,10 @@ def ensure_x_initial(a: Po2Automaton) -> Po2Automaton:
     )
 
 
-def fresh_name(base: str, taken: Iterable[str]) -> str:
-    taken = set(taken)
+def fresh_name(base: str, taken: AbstractSet[str]) -> str:
+    """``base``, or ``base`` with the least numeric suffix from 2 on, that
+    is not in ``taken``.  Only tests membership, so naming many states
+    against one growing set stays linear."""
     if base not in taken:
         return base
     i = 2

@@ -208,120 +208,113 @@ def relativize(
 ) -> Po2Automaton:
     """Make a deterministic machine run on the suffix after the first marker.
 
-    On input ``u marker beta`` with marker-free ``u``, the result reproduces
-    b's computation on ``beta`` shifted right by ``|u| + 1``.  Every
-    state-changing move out of a left-moving state is guarded by a scan for
-    a marker occurrence further left: if none exists the move happened left
-    of the suffix, so the machine fast-forwards to the first marker and
-    applies the left-end bounce b would have taken; otherwise it replays a
-    disjoint copy of the machine built so far from the suffix start to
-    confirm the position, then performs the deferred change.  Changes into
-    states that can never accept skip the replay: a confirmed marker means
-    rejection regardless of position.  Letters in ``forbid`` never label
-    gadget self-loops (used when the caller embeds the result into a region
-    that cannot contain them).
+    Started just past the first marker of ``u marker beta``, with
+    marker-free ``u`` and no letter of ``forbid`` anywhere, the result
+    accepts exactly when b accepts ``beta``.
+    X states keep b's moves, and so does a Y state z until it reads a
+    marker: until then it is inside the suffix.  Past a marker, z cannot
+    tell whether it has left the suffix, so each Y state gets at most six
+    gadget states and the result at most ``|b| + 6 |Y(b)| + 1`` states:
+
+    - ``read``, a copy of z, carries on past a marker z loops on, unless z
+      loops on every letter that can occur and so moves as ``read`` would;
+    - ``chk`` scans left for a marker where z reads a marker it does not
+      loop on, or ``read`` meets a letter z does not loop on;
+    - if ``chk`` finds a marker, the position is inside the suffix:
+      ``ret`` walks right to the next marker, the last one z read, and
+      takes z's move there, or hands over to ``fin``, a copy of z without
+      its marker loop, which walks back to the deferred position and takes
+      z's move there;
+    - if ``chk`` reaches the tape start instead, the position is left of
+      the suffix: ``skip`` runs to the first marker and takes b's bounce,
+      and z goes to ``skip`` too if it reaches the tape start itself;
+    - ``drop`` stands in for ``chk`` where z has no move or its move leads
+      to a state that cannot reach a final state: on a marker it enters
+      the shared sink ``veto``, which rejects, and at the tape start it
+      goes to ``skip``.
+
+    Letters in ``forbid`` label no gadget edge, so the caller can embed the
+    result into a region that cannot contain them.
     """
     require(b, deterministic=True)
     if marker not in b.alphabet:
         raise ValueError(f"marker {marker!r} is not in the alphabet")
     if marker in forbid:
         raise ValueError("marker cannot be a forbidden letter")
-    b = prune_unreachable(b)
     delta = b._tables[0]  # deterministic: every transition is in it
-
-    xs = set(b.x_states)
-    ys = set(b.y_states)
-    final = set(b.final)
-    transitions: set[tuple[str, str, str]] = set()
-    loop_base = b.alphabet - forbid
-
     alive: set[str] = set()  # the states that can reach a final state
     for z in b._order[0]:  # each state after its successors
         if z in b.final or not alive.isdisjoint(b._change_edges[z]):
             alive.add(z)
 
-    dead_x: str | None = None
-    (z0,) = b.initial
-    for z in reversed(b._order[0]):  # each state before its successors
-        moves = {c: delta[z, c] for c in b.alphabet if (z, c) in delta}
-        if z in b.x_states:
-            transitions.update((z, c, d) for c, d in moves.items())
-            continue
-        loops = {c for c, d in moves.items() if d == z}
-        changes = [(c, d) for c, d in moves.items() if d != z]
-        live = [(c, d) for c, d in changes if d in alive]
-        doomed = [c for c, d in changes if d not in alive]
-        bounce = delta.get((z, LEND))
-        # gadget names must dodge states a nested pass may already have made
-        taken = xs | ys
-        skip = fresh_name(f"{z}.skip", taken)
-        seek = fresh_name(f"{z}.seek", taken | {skip})
-        back = fresh_name(f"{z}.back", taken | {skip, seek})
-        redo = fresh_name(f"{z}.redo", taken | {skip, seek, back})
-        drop = fresh_name(f"{z}.drop", taken | {skip, seek, back, redo})
-        if doomed:
-            if dead_x is None:
-                dead_x = fresh_name("veto", taken | {skip, seek, back, redo, drop})
-                xs.add(dead_x)
-                transitions.update((dead_x, c, dead_x) for c in loop_base)
-            ys.add(drop)
-            transitions.update((z, c, drop) for c in doomed)
-            transitions.update((drop, c, drop) for c in loop_base - {marker})
-            transitions.add((drop, marker, dead_x))
-            if bounce is not None:
-                transitions.add((drop, LEND, skip))
-        if live:
-            # snapshot the part of the machine built so far that can still
-            # reach z; the replay copy retraces the deterministic run from
-            # the suffix start back to the deferred-change position
-            pred: dict[str, set[str]] = {}
-            for s, _, d in transitions:
-                pred.setdefault(d, set()).add(s)
-            keep = {z}
-            stack = [z]
-            while stack:
-                s = stack.pop()
-                for p in pred.get(s, ()):
-                    if p not in keep:
-                        keep.add(p)
-                        stack.append(p)
-            if z0 not in keep:
-                raise RuntimeError("deferred change is unreachable from the start")
-            prefix = f"{z}+"
-            while any(prefix + s in taken for s in keep):
-                prefix += "+"
-            copy_map = {s: prefix + s for s in keep}
-            copied = [
-                (copy_map[s], c, copy_map[d])
-                for s, c, d in transitions
-                if s in keep and d in keep
-            ]
-            xs.update(copy_map[s] for s in keep & xs)
-            ys.update(copy_map[s] for s in keep & ys)
-            transitions.update(copied)
-            final.update(copy_map[s] for s in keep & final)
-            twin = copy_map[z]
-            transitions.update((twin, c, twin) for c in loops)
-            transitions.update((twin, c, d) for c, d in live)
-            ys.update({seek, back})
-            xs.add(redo)
-            transitions.update((z, c, seek) for c, _ in live)
-            transitions.update((seek, c, seek) for c in loop_base - {marker})
-            transitions.add((seek, marker, back))
-            transitions.update((back, c, back) for c in loop_base)
-            transitions.add((back, LEND, redo))
-            transitions.update((redo, c, redo) for c in loop_base - {marker})
-            transitions.add((redo, marker, copy_map[z0]))
-            if bounce is not None:
-                transitions.add((seek, LEND, skip))
-        transitions.update((z, c, z) for c in loops)
-        if bounce is not None:
-            xs.add(skip)
-            transitions.add((z, LEND, skip))
-            transitions.update((skip, c, skip) for c in loop_base - {marker})
-            transitions.add((skip, marker, bounce))
+    xs = set(b.x_states)
+    ys = set(b.y_states)
+    taken = xs | ys  # gadget names must dodge states a nested pass made
+    transitions = {
+        t for t in b.transitions if t[0] in b.x_states or t[1] not in (marker, LEND)
+    }
+    usable = b.alphabet - forbid
+    scan = usable - {marker}
 
-    result = Po2Automaton(b.alphabet, xs, ys, transitions, b.initial, final)
+    def gadget(base: str, group: set[str]) -> str:
+        name = fresh_name(base, taken)
+        taken.add(name)
+        group.add(name)
+        return name
+
+    def scanner(z: str, role: str, found: str, skip: str | None) -> str:
+        """A Y state that scans left for a marker and enters ``found`` there."""
+        s = gadget(f"{z}.{role}", ys)
+        transitions.update((s, c, s) for c in scan)
+        transitions.add((s, marker, found))
+        if skip is not None:
+            transitions.add((s, LEND, skip))
+        return s
+
+    veto: str | None = None
+    for z in sorted(b.y_states):
+        loops = b.selfloop_letters(z)
+        # the letters on which a move of z waits for the marker check
+        deferred = usable - loops if marker in loops else {marker}
+        live = {c for c in deferred if delta.get((z, c)) in alive}
+        doomed = deferred - live
+        bounce = delta.get((z, LEND))
+        skip = None
+        if bounce is not None:
+            skip = gadget(f"{z}.skip", xs)
+            transitions.update((skip, c, skip) for c in scan)
+            transitions.add((skip, marker, bounce))
+            transitions.add((z, LEND, skip))
+        route: dict[str, str] = {}
+        if doomed:
+            if veto is None:
+                veto = gadget("veto", xs)
+                transitions.update((veto, c, veto) for c in usable)
+            route = dict.fromkeys(doomed, scanner(z, "drop", veto, skip))
+        if live:
+            if marker in loops:
+                back = gadget(f"{z}.fin", ys)
+                transitions.update((back, c, back) for c in loops & scan)
+                transitions.update((back, c, delta[z, c]) for c in live)
+            else:
+                back = delta[z, marker]
+            ret = gadget(f"{z}.ret", xs)
+            transitions.update((ret, c, ret) for c in scan)
+            transitions.add((ret, marker, back))
+            route.update(dict.fromkeys(live, scanner(z, "chk", ret, skip)))
+        if marker not in loops:
+            transitions.add((z, marker, route[marker]))
+        elif deferred:
+            read = gadget(f"{z}.read", ys)
+            transitions.update((read, c, read) for c in loops & usable)
+            transitions.update((read, c, route[c]) for c in deferred)
+            if skip is not None:
+                transitions.add((read, LEND, skip))
+            transitions.add((z, marker, read))
+        else:  # z moves as read would
+            transitions.add((z, marker, z))
+
+    result = Po2Automaton(b.alphabet, xs, ys, transitions, b.initial, b.final)
     return prune_unreachable(result)
 
 
@@ -589,7 +582,7 @@ def _assemble_case(
     """One first-occurrence case: find the split letter, rewind, check the
     prefix with a finite acceptor, then run the relativized tail machine."""
     # _det_build returns complete machines with an X initial state, and
-    # relativize prunes its own input.
+    # relativize drops the states its result cannot reach.
     tail_hat = relabel(relativize(_det_build(q, alphabet), a), lambda s: "q." + s)
     prefix_acc = finite_monomial_acceptor(p_segs, p_marks, a, alphabet)
 

@@ -359,128 +359,6 @@ def reference_sat_automaton(f) -> Po2Automaton:
     return Po2Automaton("01", xs, ys, transitions, {entry}, {"true"})
 
 
-def reference_relativize(
-    b: Po2Automaton, marker: str, *, forbid: frozenset = frozenset()
-) -> Po2Automaton:
-    """``relativize`` as first written: its state graph and per-state moves
-    come from scans of ``b.transitions`` and its order from ``graphlib``.
-    The oracle for the table-driven version."""
-    from po2buchi.core import fresh_name, prune_unreachable, require
-
-    require(b, deterministic=True)
-    if marker not in b.alphabet:
-        raise ValueError(f"marker {marker!r} is not in the alphabet")
-    if marker in forbid:
-        raise ValueError("marker cannot be a forbidden letter")
-    b = prune_unreachable(b)
-    graph = {
-        z: {d for s, c, d in b.transitions if s == z and d != z} for z in b.states
-    }
-    order = [z for z in TopologicalSorter(graph).static_order()][::-1]
-
-    xs = set(b.x_states)
-    ys = set(b.y_states)
-    final = set(b.final)
-    transitions: set[tuple[str, str, str]] = set()
-    loop_base = b.alphabet - forbid
-
-    rev: dict[str, set[str]] = {z: set() for z in b.states}
-    for s, _, d in b.transitions:
-        rev[d].add(s)
-    alive: set[str] = set()
-    stack = list(b.final)
-    while stack:
-        s = stack.pop()
-        if s not in alive:
-            alive.add(s)
-            stack.extend(rev[s])
-
-    dead_x: str | None = None
-    (z0,) = b.initial
-    for z in order:
-        if z in b.x_states:
-            transitions.update((s, c, d) for s, c, d in b.transitions if s == z)
-            continue
-        loops = b.selfloop_letters(z)
-        changes = [
-            (c, d) for s, c, d in b.transitions if s == z and d != z and c != LEND
-        ]
-        live = [(c, d) for c, d in changes if d in alive]
-        doomed = [c for c, d in changes if d not in alive]
-        bounce = b.det_successor(z, LEND)
-        # gadget names must dodge states a nested pass may already have made
-        taken = xs | ys
-        skip = fresh_name(f"{z}.skip", taken)
-        seek = fresh_name(f"{z}.seek", taken | {skip})
-        back = fresh_name(f"{z}.back", taken | {skip, seek})
-        redo = fresh_name(f"{z}.redo", taken | {skip, seek, back})
-        drop = fresh_name(f"{z}.drop", taken | {skip, seek, back, redo})
-        if doomed:
-            if dead_x is None:
-                dead_x = fresh_name("veto", taken | {skip, seek, back, redo, drop})
-                xs.add(dead_x)
-                transitions.update((dead_x, c, dead_x) for c in loop_base)
-            ys.add(drop)
-            transitions.update((z, c, drop) for c in doomed)
-            transitions.update((drop, c, drop) for c in loop_base - {marker})
-            transitions.add((drop, marker, dead_x))
-            if bounce is not None:
-                transitions.add((drop, LEND, skip))
-        if live:
-            # snapshot the part of the machine built so far that can still
-            # reach z; the replay copy retraces the deterministic run from
-            # the suffix start back to the deferred-change position
-            pred: dict[str, set[str]] = {}
-            for s, _, d in transitions:
-                pred.setdefault(d, set()).add(s)
-            keep = {z}
-            stack = [z]
-            while stack:
-                s = stack.pop()
-                for p in pred.get(s, ()):
-                    if p not in keep:
-                        keep.add(p)
-                        stack.append(p)
-            if z0 not in keep:
-                raise RuntimeError("deferred change is unreachable from the start")
-            prefix = f"{z}+"
-            while any(prefix + s in taken for s in keep):
-                prefix += "+"
-            copy_map = {s: prefix + s for s in keep}
-            copied = [
-                (copy_map[s], c, copy_map[d])
-                for s, c, d in transitions
-                if s in keep and d in keep
-            ]
-            xs.update(copy_map[s] for s in keep & xs)
-            ys.update(copy_map[s] for s in keep & ys)
-            transitions.update(copied)
-            final.update(copy_map[s] for s in keep & final)
-            twin = copy_map[z]
-            transitions.update((twin, c, twin) for c in loops)
-            transitions.update((twin, c, d) for c, d in live)
-            ys.update({seek, back})
-            xs.add(redo)
-            transitions.update((z, c, seek) for c, _ in live)
-            transitions.update((seek, c, seek) for c in loop_base - {marker})
-            transitions.add((seek, marker, back))
-            transitions.update((back, c, back) for c in loop_base)
-            transitions.add((back, LEND, redo))
-            transitions.update((redo, c, redo) for c in loop_base - {marker})
-            transitions.add((redo, marker, copy_map[z0]))
-            if bounce is not None:
-                transitions.add((seek, LEND, skip))
-        transitions.update((z, c, z) for c in loops)
-        if bounce is not None:
-            xs.add(skip)
-            transitions.add((z, LEND, skip))
-            transitions.update((skip, c, skip) for c in loop_base - {marker})
-            transitions.add((skip, marker, bounce))
-
-    result = Po2Automaton(b.alphabet, xs, ys, transitions, b.initial, final)
-    return prune_unreachable(result)
-
-
 def reference_product(a: Po2Automaton, b: Po2Automaton, accept) -> Po2Automaton:
     """The Boolean product as first written, with separate lockstep and
     diving step rules over two key shapes and its own left-end block: the

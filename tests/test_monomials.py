@@ -11,7 +11,6 @@ from helpers import (
     random_lasso,
     random_monomial,
     random_restricted_monomial,
-    reference_relativize,
     sample_from_monomial,
 )
 from po2buchi.core import LEND, Po2Automaton, chain_lengths, complete
@@ -369,7 +368,14 @@ def test_relativize_shifted_run_invariant():
         checked += 1
 
 
-def test_relativize_matches_graphlib_reference():
+def relativize_bound(b: Po2Automaton) -> int:
+    """At most six gadget states per Y state, plus the shared sink."""
+    return len(b.states) + 6 * len(b.y_states) + 1
+
+
+def test_relativize_shifted_run_matches_machine():
+    # Incomplete machines and forbidden letters included: a missing move of
+    # a left-moving state is checked for the marker like a change.
     rng = random.Random(10)
     for alphabet in ("ab", "abc"):
         for full in (True, False):
@@ -377,16 +383,54 @@ def test_relativize_matches_graphlib_reference():
                 b = random_det_automaton(rng, alphabet, 7, complete=full)
                 marker = rng.choice(alphabet)
                 forbid = frozenset(c for c in alphabet if c != marker and rng.random() < 0.3)
-                want = reference_relativize(b, marker, forbid=forbid)
-                assert relativize(b, marker, forbid=forbid) == want
+                r = relativize(b, marker, forbid=forbid)
+                assert len(r.states) <= relativize_bound(b)
+                report = r.validate()
+                assert report.is_well_formed_po2 and report.is_deterministic
+                (init,) = r.initial
+                letters = "".join(sorted(set(alphabet) - forbid))
+                other = letters.replace(marker, "")
+                for _ in range(40):
+                    u = "".join(rng.choice(other) for _ in range(rng.randint(0, 4))) if other else ""
+                    beta = random_lasso(rng, letters, max_spoke=5, max_period=3)
+                    want = run_det(b, beta).accepted
+                    shifted = LassoWord(u + marker + beta.spoke, beta.period)
+                    got = simulate_from(r, shifted, init, len(u) + 2).accepted
+                    assert got == want, (sorted(b.transitions), marker, sorted(forbid), u, str(beta))
+
+
+def left_moving_chain(n: int) -> Po2Automaton:
+    """Y states y0 -a-> y1 -a-> ... y{n-1}, each looping on b and bouncing
+    to a final X sink, behind an X start state."""
+    ys = [f"y{i}" for i in range(n)]
+    transitions = {("start", c, "y0") for c in "ab"}
+    transitions.update(("sink", c, "sink") for c in "ab")
+    for i, y in enumerate(ys):
+        transitions.add((y, "b", y))
+        transitions.add((y, "a", ys[i + 1] if i + 1 < n else "sink"))
+        transitions.add((y, LEND, "sink"))
+    return Po2Automaton("ab", {"start", "sink"}, ys, transitions, {"start"}, {"sink"})
+
+
+@pytest.mark.parametrize("n", [12, 1000])
+def test_relativize_left_moving_chain_stays_linear(n):
+    # A snapshot of the machine built so far once doubled the output with
+    # each left-moving state: 24,584 states for n = 12.
+    b = left_moving_chain(n)
+    r = relativize(b, "b")
+    assert len(r.states) <= relativize_bound(b)
+    assert r.validate().is_deterministic
 
 
 def test_relativize_nested_gadget_names_regression():
     # nesting once produced a state named like an inner gadget, merging two
-    # states and breaking determinism
-    det = monomial_to_deterministic(parse_monomial("[b]*c.[ab]*c.[b]*c.[ab]w"), alphabet="abc")
-    report = det.validate()
-    assert report.is_well_formed_po2 and report.is_deterministic and report.is_complete
+    # states and breaking determinism; a gadget edge on a forbidden letter,
+    # such as a finite acceptor's end letter, becomes a tape-start edge when
+    # the acceptor is mirrored
+    for text in ("[b]*c.[ab]*c.[b]*c.[ab]w", "[bc]*c.[]*c.[b]*a.[ab]w"):
+        det = monomial_to_deterministic(parse_monomial(text), alphabet="abc")
+        report = det.validate()
+        assert report.is_well_formed_po2 and report.is_deterministic and report.is_complete
 
 
 # --- deterministic construction ---------------------------------------------
