@@ -358,6 +358,27 @@ def chain_lengths(a: Po2Automaton) -> tuple[int, int]:
     return n, m
 
 
+def chains_to(a: Po2Automaton, good: Callable[[str], bool]) -> dict[str, int]:
+    """Longest chain of state changes from each state to a state satisfying
+    ``good``, -1 where no such state is reachable.
+
+    A run standing in z that must still stabilize in a good state changes
+    state at most ``chains_to(a, good)[z]`` more times.  Requires a
+    well-formed machine and reads its topological order.
+    """
+    order, cycle = a._order
+    if cycle is not None:
+        raise ValueError("chains are undefined: transition graph has a cycle")
+    graph = a._change_edges
+    below: dict[str, int] = {}
+    for z in order:  # successors of z come earlier in the order
+        below[z] = max(
+            (below[d] + 1 for d in graph[z] if below[d] >= 0),
+            default=0 if good(z) else -1,
+        )
+    return below
+
+
 def prune_unreachable(a: Po2Automaton) -> Po2Automaton:
     """Drop states not reachable from the initial set in the transition graph."""
     seen = set(a.initial)

@@ -19,6 +19,7 @@ from .core import (
     LEND,
     Po2Automaton,
     chain_lengths,
+    chains_to,
     complete,
     disjoint_union,
     ensure_x_initial,
@@ -639,19 +640,12 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     n = len(a.states)
     delta = a._tables[0]  # complete and deterministic: every key is there
     loops = {z: a.selfloop_letters(z) for z in a.states}
-    graph = a._change_edges
-    # Longest chain from each state to a final state, -1 if none is
-    # reachable.  Every marker still unvalidated when the run lands in z
-    # needs a state change of its own, and those changes all lie on the
-    # run's path from z to the final state where an emission happens; so a
-    # skeleton with more unvalidated markers than below[z] emits nothing,
-    # and neither does any extension of it.
-    below: dict[str, int] = {}
-    for z in a._order[0]:  # the order chain_lengths used, successors first
-        below[z] = max(
-            (below[d] + 1 for d in graph[z] if below[d] >= 0),
-            default=0 if z in a.final else -1,
-        )
+    # Every marker still unvalidated when the run lands in z needs a state
+    # change of its own, and those changes all lie on the run's path from z
+    # to the final state where an emission happens; so a skeleton with more
+    # unvalidated markers than below[z] emits nothing, and neither does any
+    # extension of it.
+    below = chains_to(a, a.final.__contains__)
     found: set[Monomial] = set()
     # The skeleton on the search path: its markers, each cell's allowed
     # alphabet, and whether each marker saw a state change.  Every write

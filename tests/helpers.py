@@ -9,6 +9,7 @@ later, faster code is checked against.
 
 import random
 from graphlib import CycleError, TopologicalSorter
+from itertools import product
 
 from po2buchi.compat import _check_tracker_args, tracker_step
 from po2buchi.core import (
@@ -21,7 +22,7 @@ from po2buchi.core import (
     ensure_x_initial,
     require,
 )
-from po2buchi.decide import _candidates, _Meter
+from po2buchi.decide import BudgetExceeded, Witness
 from po2buchi.run import ACCEPTED, membership_nondet, run_det
 
 
@@ -56,6 +57,23 @@ def random_det_automaton(
                 transitions.add((z, LEND, rng.choice(targets)))
     final = {z for z in names if rng.random() < final_bias}
     return Po2Automaton(alphabet, xs, ys, transitions, {names[0]}, final)
+
+
+def with_y_start(rng: random.Random, a: Po2Automaton) -> Po2Automaton:
+    """A deterministic machine with a new Y initial state ``y0`` in front:
+    it mostly self-loops, so the head bounces off the marker into the old
+    initial state, which must be an X state."""
+    (z0,) = a.initial
+    transitions = set(a.transitions)
+    for c in sorted(a.alphabet):
+        if rng.random() < 0.7:
+            transitions.add(("y0", c, "y0"))
+        elif rng.random() < 0.8:
+            transitions.add(("y0", c, rng.choice(sorted(a.states))))
+    transitions.add(("y0", LEND, z0))
+    return Po2Automaton(
+        a.alphabet, a.x_states, a.y_states | {"y0"}, transitions, {"y0"}, a.final
+    )
 
 
 def one_letter_chain(n: int) -> Po2Automaton:
@@ -464,10 +482,54 @@ def reference_product(a: Po2Automaton, b: Po2Automaton, accept) -> Po2Automaton:
     )
 
 
+def reference_candidates(alphabet, max_len: int):
+    """Every lasso ``spoke(letter)`` with spoke length at most ``max_len``,
+    length-lexicographically, letters sorted."""
+    letters = sorted(alphabet)
+    for n in range(max_len + 1):
+        for tup in product(letters, repeat=n):
+            spoke = "".join(tup)
+            for c in letters:
+                yield Witness(spoke, c)
+
+
+class ReferenceMeter:
+    """Counts membership tests; past the budget it raises ``BudgetExceeded``
+    with the message the decision procedures use."""
+
+    def __init__(self, budget, what: str):
+        self.budget = budget
+        self.what = what
+        self.used = 0
+
+    def tick(self) -> None:
+        self.used += 1
+        if self.budget is not None and self.used > self.budget:
+            raise BudgetExceeded(
+                f"{self.what} needed more than {self.budget} membership tests"
+            )
+
+
+def reference_is_empty(a: Po2Automaton, *, budget=None):
+    """``decide.is_empty`` as it was before the pruned search: every
+    candidate up to the bound tested in length-lex order."""
+    require(a)
+    if not a.alphabet:
+        return None
+    ac = complete(a)
+    bound = max(chain_lengths(ac)[0] - 1, 0)
+    meter = ReferenceMeter(budget, "emptiness check")
+    for cand in reference_candidates(ac.alphabet, bound):
+        meter.tick()
+        if membership_nondet(ac, cand.word()):
+            return cand
+    return None
+
+
 def reference_includes(a: Po2Automaton, b: Po2Automaton, *, budget=None):
     """``decide.includes`` as first written, running the complement of the
-    completed second machine: the oracle for the version that runs it as
-    given."""
+    completed second machine and testing every candidate: the oracle for
+    the version that runs it as given and for the pruned search."""
     if frozenset(a.alphabet) != frozenset(b.alphabet):
         raise ValueError("inclusion needs a shared alphabet")
     require(a)
@@ -476,8 +538,8 @@ def reference_includes(a: Po2Automaton, b: Po2Automaton, *, budget=None):
         return None
     b_bar = complement(complete(b))
     bound = len(a.states) + len(b.states) + 2
-    meter = _Meter(budget, "inclusion check")
-    for cand in _candidates(a.alphabet, bound):
+    meter = ReferenceMeter(budget, "inclusion check")
+    for cand in reference_candidates(a.alphabet, bound):
         meter.tick()
         w = cand.word()
         if run_det(b_bar, w).verdict == ACCEPTED and membership_nondet(a, w):

@@ -205,6 +205,24 @@ def test_budget_exit_code(tmp_path):
     assert (code, out) == (3, "budget exceeded\n")
 
 
+def test_negative_budget_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "showcase.po2"
+    assert run_cli(["from-monomial", "[ab]*a.[]*c.[c]w", "-o", str(src)])[0] == 0
+    capsys.readouterr()
+    for argv in (
+        ["empty", str(src), "--budget", "-5"],
+        ["universal", str(src), "--budget", "-1"],
+        ["includes", str(src), str(src), "--budget", "-2"],
+        ["equiv", str(src), str(src), "--budget", "-4"],
+        ["sat", "v1 & !v1", "--budget", "-3"],
+    ):
+        assert run_cli(argv) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert err == f"error: budget must be at least 0, got {argv[-1]}\n", argv
+    # Budget 0 is valid: the first candidate already exceeds it.
+    assert run_cli(["sat", "v1 & !v1", "--budget", "0"]) == (3, "budget exceeded\n")
+
+
 def test_usage_and_format_errors(tmp_path, capsys):
     src = tmp_path / "u.po2"
     write(src, universal_doc())

@@ -20,6 +20,7 @@ from po2buchi.core import (
     LEND,
     Po2Automaton,
     chain_lengths,
+    chains_to,
     complement,
     complete,
     disjoint_union,
@@ -286,6 +287,26 @@ def test_complement_rejects_bad_inputs():
     )
     with pytest.raises(ValueError):
         complement(nondet)
+
+
+def test_chains_to_matches_path_enumeration():
+    def longest(a, z, good):
+        # Every path of changes from z, one state at a time.
+        best = 0 if good(z) else -1
+        for d in a._change_edges[z]:
+            rest = longest(a, d, good)
+            if rest >= 0:
+                best = max(best, rest + 1)
+        return best
+
+    rng = random.Random(1974)
+    for i in range(300):
+        a = random_nondet_automaton(rng, ("ab", "abc")[i % 2], max_states=7)
+        for good in (a.final.__contains__, lambda z: z not in a.final):
+            assert chains_to(a, good) == {z: longest(a, z, good) for z in a.states}
+    with pytest.raises(ValueError, match="cycle"):
+        cyclic = Po2Automaton("a", {"p", "q"}, set(), {("p", "a", "q"), ("q", "a", "p")}, {"p"}, set())
+        chains_to(cyclic, cyclic.final.__contains__)
 
 
 def test_chain_lengths_hand_cases():

@@ -11,9 +11,11 @@ from helpers import (
     random_nondet_automaton,
     random_restricted_monomial,
     reference_includes,
+    reference_is_empty,
+    with_y_start,
 )
 from po2buchi.boolean import product_union
-from po2buchi.core import Po2Automaton, chain_lengths, complement, complete, prune_unreachable
+from po2buchi.core import LEND, Po2Automaton, chain_lengths, complement, complete, prune_unreachable
 from po2buchi.decide import BudgetExceeded, Witness, equivalent, includes, is_empty, is_universal
 from po2buchi.monomials import (
     automaton_to_polynomial,
@@ -22,6 +24,7 @@ from po2buchi.monomials import (
     parse_monomial,
 )
 from po2buchi.run import ACCEPTED, membership_nondet, run_det
+from po2buchi.satred import build_sat_automaton, parse_formula, sat_via_emptiness
 from po2buchi.words import LassoWord
 
 SHOWCASE = parse_monomial("[ab]*a.[]*c.[c]w")
@@ -287,3 +290,145 @@ def test_rejects_bad_inputs():
         includes(over_ab, nondet)
     with pytest.raises(ValueError, match="deterministic"):
         is_universal(nondet)
+
+
+BUDGETS = (None, 0, 1, 7, 50)
+# The formulas of the benchmark's decide workload: six unsatisfiable, three
+# satisfiable.
+UNSAT_FORMULAS = [
+    "v3 & !v3",
+    "v4 & !v4",
+    "v2 & v3 & !v3",
+    "!v3 & v3",
+    "!(v3 | !v3)",
+    "v2 & v1 & !v2",
+]
+SAT_FORMULAS = ["v1 & !v2 & v3", "(v1 | v2) & !v1 & v3", "(!v1 & !v2 & v4) | (v2 & !v2)"]
+
+
+def settle(fn, *args, budget):
+    """The answer, or the budget message: what a caller can observe."""
+    try:
+        return fn(*args, budget=budget)
+    except BudgetExceeded as err:
+        return ("budget", str(err))
+
+
+def det_machine(rng, alphabet, max_states):
+    a = random_det_automaton(rng, alphabet, max_states, complete=rng.random() < 0.5)
+    return with_y_start(rng, a) if rng.random() < 0.25 else a
+
+
+def y_start_three_changes() -> Po2Automaton:
+    """Accepts a a* b a* b a^w: the Y initial state loops on a (dies on b)
+    and bounces into p, which needs two b's to reach f.  The first witness
+    abb(a) sees no state change at position 1: the initial state and p both
+    self-loop there."""
+    t = {
+        ("z0", "a", "z0"), ("z0", "b", "dead"), ("z0", LEND, "p"),
+        ("p", "a", "p"), ("p", "b", "q"), ("q", "a", "q"), ("q", "b", "f"),
+        ("f", "a", "f"), ("f", "b", "dead"), ("dead", "a", "dead"), ("dead", "b", "dead"),
+    }
+    return Po2Automaton("ab", {"p", "q", "f", "dead"}, {"z0"}, t, {"z0"}, {"f"})
+
+
+def test_pruned_emptiness_matches_reference():
+    # Answers, witnesses and budget outcomes equal those of testing every
+    # candidate in length-lex order.
+    rng = random.Random(1201)
+    seen = set()
+    for trial in range(240):
+        alphabet = "ab" if trial % 2 else "abc"
+        a = det_machine(rng, alphabet, 7)
+        for budget in BUDGETS:
+            want = settle(reference_is_empty, a, budget=budget)
+            assert settle(is_empty, a, budget=budget) == want, (trial, budget)
+            seen.add(want if want is None else type(want).__name__)
+            want = settle(reference_is_empty, complement(complete(a)), budget=budget)
+            assert settle(is_universal, a, budget=budget) == want, (trial, budget)
+    assert seen == {None, "tuple", "Witness"}
+
+
+def test_pruned_inclusion_and_equivalence_match_reference():
+    def expected_equivalence(left, right):
+        # equivalent() runs both inclusions in turn under the same budget.
+        for side, want in (("left", left), ("right", right)):
+            if isinstance(want, tuple):
+                return want
+            if want is not None:
+                return (side, want)
+        return None
+
+    def compare(a, b, budgets, label):
+        wants = {}
+        for budget in budgets:
+            left = settle(reference_includes, a, b, budget=budget)
+            right = settle(reference_includes, b, a, budget=budget)
+            assert settle(includes, a, b, budget=budget) == left, (label, budget)
+            assert settle(includes, b, a, budget=budget) == right, (label, budget)
+            want = expected_equivalence(left, right)
+            assert settle(equivalent, a, b, budget=budget) == want, (label, budget)
+            wants[budget] = want
+        return wants
+
+    rng = random.Random(1202)
+    seen = set()
+    for trial in range(150):
+        alphabet = "ab" if trial % 2 else "abc"
+        a = det_machine(rng, alphabet, 3 if alphabet == "ab" else 2)
+        b = det_machine(rng, alphabet, 3 if alphabet == "ab" else 2)
+        want = compare(a, b, BUDGETS, trial)[None]
+        seen.add(want if want is None else want[0])
+    assert seen == {None, "left", "right"}
+    # Machines of up to seven states, against budgets the reference can
+    # afford; where the largest one settles the search, so must no budget.
+    settled = 0
+    for trial in range(60):
+        alphabet = "ab" if trial % 2 else "abc"
+        a = det_machine(rng, alphabet, 7)
+        b = det_machine(rng, alphabet, 7)
+        want = compare(a, b, BUDGETS[1:] + (400,), trial)[400]
+        if not isinstance(want, tuple) or want[0] != "budget":
+            settled += 1
+            assert settle(equivalent, a, b, budget=None) == want, trial
+    assert settled >= 20
+
+
+def test_pruned_search_on_formula_machines():
+    for text in UNSAT_FORMULAS + SAT_FORMULAS:
+        machine = build_sat_automaton(parse_formula(text))
+        for budget in BUDGETS:
+            want = settle(reference_is_empty, machine, budget=budget)
+            assert settle(is_empty, machine, budget=budget) == want, (text, budget)
+        assert (is_empty(machine) is None) == (text in UNSAT_FORMULAS)
+
+
+def test_pruned_search_starts_in_an_x_state():
+    # A Y initial state reads position 1 before the head arrives there, so
+    # deleting an unchanged position 1 is not sound for the machine as given.
+    m = y_start_three_changes()
+    assert is_empty(m) == Witness("abb", "a") == reference_is_empty(m)
+    assert membership_nondet(m, LassoWord("abb", "a"))
+    univ = universal_machine()
+    assert includes(m, complement(complete(m))) == Witness("abb", "a")
+    assert equivalent(univ, m) == ("left", Witness("", "a"))
+    assert equivalent(m, empty_machine()) == ("left", Witness("abb", "a"))
+
+
+def test_negative_budgets_are_rejected():
+    m = monomial_to_deterministic(SHOWCASE)
+    nondet = branching_machine()
+    calls = [
+        lambda b: is_empty(m, budget=b),
+        lambda b: is_empty(nondet, budget=b),
+        lambda b: is_universal(m, budget=b),
+        lambda b: includes(m, m, budget=b),
+        lambda b: includes(nondet, empty_machine(), budget=b),
+        lambda b: equivalent(m, m, budget=b),
+        lambda b: sat_via_emptiness(parse_formula("v1 & !v1"), budget=b),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="budget must be at least 0, got -5"):
+            call(-5)
+        with pytest.raises(BudgetExceeded, match="more than 0 membership tests"):
+            call(0)
