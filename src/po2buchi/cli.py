@@ -2,12 +2,13 @@
 
 Automata travel as UTF-8 JSON documents with three fields: ``alphabet`` (list
 of single-character letters), ``states`` (list of ``{name, polarity: "X"|"Y",
-initial, final}``), and ``transitions`` (list of ``{from, letter, to}`` with
-``"LEND"`` spelling the left-end marker).  Reports are deterministic for fixed
-inputs.  Exit codes: 0 for affirmative results, 1 for negative decisions (the
-witness is printed), 2 for usage or format errors, 3 for an exceeded budget,
-4 for an internal error (any other exception, reported on one stderr line so
-that a fault is never mistaken for a negative verdict).
+initial, final}`` with string names and boolean flags), and ``transitions``
+(list of ``{from, letter, to}`` strings, ``"LEND"`` spelling the left-end
+marker).  Reports are deterministic for fixed inputs.  Exit codes: 0 for
+affirmative results, 1 for negative decisions (the witness is printed), 2 for
+usage or format errors, 3 for an exceeded budget, 4 for an internal error
+(any other exception, reported on one stderr line so that a fault is never
+mistaken for a negative verdict).
 """
 
 from __future__ import annotations
@@ -47,23 +48,43 @@ def automaton_to_doc(a: Po2Automaton) -> dict:
 
 
 def automaton_from_doc(data: dict) -> Po2Automaton:
-    """Inverse of automaton_to_doc; raises ValueError on malformed input."""
+    """Inverse of automaton_to_doc; raises ValueError on malformed input.
+
+    Names, letters and ``from``/``to`` must be JSON strings, ``initial`` and
+    ``final`` JSON booleans, and ``alphabet`` a list, so that no other JSON
+    value is silently read as one of them.
+    """
     try:
+        alphabet = data["alphabet"]
         states = data["states"]
+        if not isinstance(alphabet, list) or not all(isinstance(c, str) for c in alphabet):
+            raise ValueError(f"alphabet {alphabet!r} is not a list of letters")
         for entry in states:
+            name = entry["name"]
+            if not isinstance(name, str):
+                raise ValueError(f"state name {name!r} is not a string")
             if entry["polarity"] not in ("X", "Y"):
                 raise ValueError(
-                    f"state {entry['name']!r} has polarity {entry['polarity']!r},"
+                    f"state {name!r} has polarity {entry['polarity']!r},"
                     " expected 'X' or 'Y'"
                 )
+            for flag in ("initial", "final"):
+                if not isinstance(entry[flag], bool):
+                    raise ValueError(
+                        f"state {name!r} has {flag} {entry[flag]!r}, expected true or false"
+                    )
+        transitions = []
+        for t in data["transitions"]:
+            edge = t["from"], t["letter"], t["to"]
+            if not all(isinstance(part, str) for part in edge):
+                raise ValueError(f"transition {edge!r} has a part that is not a string")
+            src, c, dst = edge
+            transitions.append((src, LEND if c == "LEND" else c, dst))
         return Po2Automaton(
-            data["alphabet"],
+            alphabet,
             [s["name"] for s in states if s["polarity"] == "X"],
             [s["name"] for s in states if s["polarity"] == "Y"],
-            [
-                (t["from"], LEND if t["letter"] == "LEND" else t["letter"], t["to"])
-                for t in data["transitions"]
-            ],
+            transitions,
             [s["name"] for s in states if s["initial"]],
             [s["name"] for s in states if s["final"]],
         )

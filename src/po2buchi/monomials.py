@@ -622,14 +622,23 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     different positions and are covered by other skeletons).
 
     The runs read the machine's own flat ``(state, letter) -> state``
-    table.  The skeleton tree is walked depth first with an explicit stack
-    and one shared path that is undone on backtracking, so a long chain
-    needs neither deep Python recursion nor memory beyond linear in its
-    length.  A skeleton is extended only while its markers that saw no
-    state change yet are no more than the state changes left on the
-    longest path to a final state.  The cost is still exponential in the
-    chain length: up to ``|alphabet|**(n - 1)`` skeletons for a chain of n
-    states.
+    table.  The skeleton tree is walked depth first with an explicit stack;
+    each frame holds the X state in which the run leaves its last marker
+    and a bitmask of the markers that saw a state change.  A run that turns
+    left only meets markers already on the path, so it goes through
+    crossing tables (Shepherdson 1959): ``cross[t][s]`` is the X state in
+    which a run that reads marker t in state s leaves marker t to the
+    right, with the markers where it changed state.  A Y state read off
+    marker t reads marker t - 1 next, so each entry is filled from the
+    table before it, on demand, with nested fills kept on a stack of their
+    own; a table is dropped with its marker.  A step thus costs a few
+    lookups instead of a walk back to the tape start, and only an emission
+    replays the whole run, to narrow the cells.  Neither stack uses Python
+    recursion, so long chains need no deep Python stack.  A skeleton is
+    extended only while its markers that saw no state change yet are no
+    more than the state changes left on the longest path to a final state.
+    The cost is still exponential in the chain length: up to
+    ``|alphabet|**(n - 1)`` skeletons for a chain of n states.
     """
     require(a, deterministic=True)
     a = ensure_x_initial(complete(a))
@@ -637,6 +646,7 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     letters = sorted(a.alphabet)
     cap = max(chain_lengths(a)[0] - 1, 0)
     xs = a.x_states
+    final = a.final
     n = len(a.states)
     delta = a._tables[0]  # complete and deterministic: every key is there
     loops = {z: a.selfloop_letters(z) for z in a.states}
@@ -645,51 +655,69 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     # to the final state where an emission happens; so a skeleton with more
     # unvalidated markers than below[z] emits nothing, and neither does any
     # extension of it.
-    below = chains_to(a, a.final.__contains__)
+    below = chains_to(a, final.__contains__)
     found: set[Monomial] = set()
-    # The skeleton on the search path: its markers, each cell's allowed
-    # alphabet, and whether each marker saw a state change.  Every write
-    # settle() makes to an earlier cell is logged, so backtracking undoes
-    # it and the path costs memory linear in its length.
+    # The skeleton on the search path: its markers and, per marker, the
+    # crossing table filled so far.
     marks: list[str] = []
-    meets: list[frozenset[str]] = []
-    flags: list[bool] = []
-    log: list[tuple[list, int, object]] = []
+    cross: list[dict[str, tuple[str, int]]] = []
 
-    def settle(z: str) -> tuple[str, int]:
-        """Run over the fixed cells until the head passes the last marker
-        moving right, narrowing each crossed cell's allowed alphabet.
-        Returns the state reached and how many markers it validated."""
+    def crossing(t: int, z: str) -> tuple[str, int]:
+        """The X state in which the run leaves marker t to the right after
+        the head reads it in state z, and the bitmask of markers where the
+        run changed state meanwhile.  A run turning left into cell t looks
+        up marker t - 1's table; a miss suspends this crossing on a stack
+        while the missing entry is filled.  Only those nested entries are
+        stored: lookups ask for Y states, and the outermost crossing starts
+        from the X state of a frame."""
+        suspended: list[tuple[int, str, int, int]] = []
+        key, mask, reads = z, 0, 0
+        while True:
+            # Each read of marker t is in a state later than the one before,
+            # since the run turned and came back through a state change.
+            reads += 1
+            if reads > n:
+                raise RuntimeError("abstract run did not settle")
+            nxt = delta[z, marks[t]]
+            if nxt != z:
+                mask |= 1 << t
+            if nxt in xs:
+                if not suspended:
+                    return nxt, mask
+                cross[t][key] = nxt, mask
+                done = mask
+                t, key, mask, reads = suspended.pop()
+                z = nxt
+                mask |= done
+            elif t == 0:
+                z = delta[nxt, LEND]
+            elif nxt in cross[t - 1]:
+                z, done = cross[t - 1][nxt]
+                mask |= done
+            else:
+                suspended.append((t, key, mask, reads))
+                t, key, z, mask, reads = t - 1, nxt, nxt, 0, 0
+
+    def emit(z: str) -> None:
+        # Replay the run over the skeleton, narrowing each cell to the
+        # letters on which every state crossing it loops.
+        meets = [a.alphabet] * len(marks)
         frontier = 2 * len(marks) + 1
-        loc = frontier if z in xs else frontier - 2
         limit = (n + 2) * (frontier + 3) + 4
-        steps = validated = 0
+        s, loc, steps = z0, 1, 0
         while loc < frontier:
             steps += 1
             if steps > limit:
                 raise RuntimeError("abstract run did not settle")
             if loc == 0:
-                z = delta[z, LEND]
+                s = delta[s, LEND]
                 loc = 1
             elif loc % 2:
-                t = (loc - 1) // 2
-                meet = meets[t] & loops[z]
-                if len(meet) < len(meets[t]):
-                    log.append((meets, t, meets[t]))
-                    meets[t] = meet
-                loc += 1 if z in xs else -1
+                meets[loc // 2] &= loops[s]
+                loc += 1 if s in xs else -1
             else:
-                t = loc // 2 - 1
-                nxt = delta[z, marks[t]]
-                if nxt != z and not flags[t]:
-                    log.append((flags, t, False))
-                    flags[t] = True
-                    validated += 1
-                z = nxt
-                loc += 1 if z in xs else -1
-        return z, validated
-
-    def emit(z: str) -> None:
+                s = delta[s, marks[loc // 2 - 1]]
+                loc += 1 if s in xs else -1
         options = []
         for i, meet in enumerate(meets):
             later = frozenset(marks[i:])
@@ -703,40 +731,40 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
                 raise RuntimeError(f"emitted monomial is not restricted: {mono}")
             found.add(mono)
 
-    def backtrack(mark: int) -> None:
-        while len(log) > mark:
-            cells, t, old = log.pop()
-            cells[t] = old
-        del marks[-1], meets[-1], flags[-1]
-
-    if z0 in a.final:
+    if z0 in final:
         emit(z0)
-    # One frame per skeleton on the path: its state, the number of
-    # unvalidated markers, the next letter to try and the log length at entry.
-    frames = [[z0, 0, 0, 0]]
+    # One frame per skeleton on the path: the X state in which the run
+    # leaves its last marker, the bitmask of markers that saw a state
+    # change, and the next letter to try.
+    frames = [[z0, 0, 0]]
     while frames:
         frame = frames[-1]
-        z, pending, i, mark = frame
-        if i == len(letters) or len(marks) >= cap:
+        z, mask, i = frame
+        t = len(marks)
+        if i == len(letters) or t >= cap:
             frames.pop()
             if frames:
-                backtrack(mark)
+                del marks[-1], cross[-1]
             continue
         frame[2] = i + 1
         c = letters[i]
         nxt = delta[z, c]
-        entry = len(log)
         marks.append(c)
-        meets.append(loops[z])
-        flags.append(nxt != z)
-        landed, validated = settle(nxt)
-        pending += (nxt == z) - validated
-        if pending <= below[landed]:
-            if pending == 0 and landed in a.final:
-                emit(landed)
-            frames.append([landed, pending, 0, entry])
+        cross.append({})
+        if nxt in xs:
+            landed = nxt
+            if nxt != z:
+                mask |= 1 << t
         else:
-            backtrack(entry)
+            landed, done = crossing(t, z)
+            mask |= done
+        pending = t + 1 - mask.bit_count()
+        if pending <= below[landed]:
+            if pending == 0 and landed in final:
+                emit(landed)
+            frames.append([landed, mask, 0])
+        else:
+            del marks[-1], cross[-1]
     return sorted(found, key=str)
 
 

@@ -75,13 +75,6 @@ def parse_lasso(text: str) -> LassoWord:
     return LassoWord(m.group("spoke"), m.group("period"))
 
 
-def alphabet_of(w: str | LassoWord) -> frozenset[str]:
-    """Set of letters occurring in ``w``."""
-    if isinstance(w, LassoWord):
-        return w.alphabet
-    return frozenset(w)
-
-
 def is_scattered_subword(x: str, w: str) -> bool:
     """True iff ``x`` can be embedded in ``w`` preserving order (x <= w)."""
     it = iter(w)

@@ -17,12 +17,14 @@ from po2buchi.core import (
     Po2Automaton,
     ValidationReport,
     chain_lengths,
+    chains_to,
     complement,
     complete,
     ensure_x_initial,
     require,
 )
 from po2buchi.decide import BudgetExceeded, Witness
+from po2buchi.monomials import Monomial
 from po2buchi.run import ACCEPTED, membership_nondet, run_det
 
 
@@ -545,3 +547,117 @@ def reference_includes(a: Po2Automaton, b: Po2Automaton, *, budget=None):
         if run_det(b_bar, w).verdict == ACCEPTED and membership_nondet(a, w):
             return cand
     return None
+
+
+def reference_automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
+    """``monomials.automaton_to_polynomial`` as it was before the crossing
+    memo: every skeleton settles its run by walking back to the tape start
+    and forward again, narrowing cells and flagging markers as it goes,
+    with an undo log for backtracking.  The oracle for the memoized search."""
+    require(a, deterministic=True)
+    a = ensure_x_initial(complete(a))
+    (z0,) = a.initial
+    letters = sorted(a.alphabet)
+    cap = max(chain_lengths(a)[0] - 1, 0)
+    xs = a.x_states
+    n = len(a.states)
+    delta = a._tables[0]  # complete and deterministic: every key is there
+    loops = {z: a.selfloop_letters(z) for z in a.states}
+    # Every marker still unvalidated when the run lands in z needs a state
+    # change of its own, and those changes all lie on the run's path from z
+    # to the final state where an emission happens; so a skeleton with more
+    # unvalidated markers than below[z] emits nothing, and neither does any
+    # extension of it.
+    below = chains_to(a, a.final.__contains__)
+    found: set[Monomial] = set()
+    # The skeleton on the search path: its markers, each cell's allowed
+    # alphabet, and whether each marker saw a state change.  Every write
+    # settle() makes to an earlier cell is logged, so backtracking undoes
+    # it and the path costs memory linear in its length.
+    marks: list[str] = []
+    meets: list[frozenset[str]] = []
+    flags: list[bool] = []
+    log: list[tuple[list, int, object]] = []
+
+    def settle(z: str) -> tuple[str, int]:
+        """Run over the fixed cells until the head passes the last marker
+        moving right, narrowing each crossed cell's allowed alphabet.
+        Returns the state reached and how many markers it validated."""
+        frontier = 2 * len(marks) + 1
+        loc = frontier if z in xs else frontier - 2
+        limit = (n + 2) * (frontier + 3) + 4
+        steps = validated = 0
+        while loc < frontier:
+            steps += 1
+            if steps > limit:
+                raise RuntimeError("abstract run did not settle")
+            if loc == 0:
+                z = delta[z, LEND]
+                loc = 1
+            elif loc % 2:
+                t = (loc - 1) // 2
+                meet = meets[t] & loops[z]
+                if len(meet) < len(meets[t]):
+                    log.append((meets, t, meets[t]))
+                    meets[t] = meet
+                loc += 1 if z in xs else -1
+            else:
+                t = loc // 2 - 1
+                nxt = delta[z, marks[t]]
+                if nxt != z and not flags[t]:
+                    log.append((flags, t, False))
+                    flags[t] = True
+                    validated += 1
+                z = nxt
+                loc += 1 if z in xs else -1
+        return z, validated
+
+    def emit(z: str) -> None:
+        options = []
+        for i, meet in enumerate(meets):
+            later = frozenset(marks[i:])
+            if later <= meet:
+                options.append([meet - {c} for c in sorted(later)])
+            else:
+                options.append([meet])
+        for segs in product(*options):
+            mono = Monomial(segs, marks, loops[z])
+            if not mono.is_restricted():
+                raise RuntimeError(f"emitted monomial is not restricted: {mono}")
+            found.add(mono)
+
+    def backtrack(mark: int) -> None:
+        while len(log) > mark:
+            cells, t, old = log.pop()
+            cells[t] = old
+        del marks[-1], meets[-1], flags[-1]
+
+    if z0 in a.final:
+        emit(z0)
+    # One frame per skeleton on the path: its state, the number of
+    # unvalidated markers, the next letter to try and the log length at entry.
+    frames = [[z0, 0, 0, 0]]
+    while frames:
+        frame = frames[-1]
+        z, pending, i, mark = frame
+        if i == len(letters) or len(marks) >= cap:
+            frames.pop()
+            if frames:
+                backtrack(mark)
+            continue
+        frame[2] = i + 1
+        c = letters[i]
+        nxt = delta[z, c]
+        entry = len(log)
+        marks.append(c)
+        meets.append(loops[z])
+        flags.append(nxt != z)
+        landed, validated = settle(nxt)
+        pending += (nxt == z) - validated
+        if pending <= below[landed]:
+            if pending == 0 and landed in a.final:
+                emit(landed)
+            frames.append([landed, pending, 0, entry])
+        else:
+            backtrack(entry)
+    return sorted(found, key=str)

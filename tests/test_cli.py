@@ -101,6 +101,37 @@ def test_doc_rejects_malformed_input():
         automaton_from_doc(bad)
 
 
+def test_doc_rejects_values_of_the_wrong_json_type():
+    def altered(change) -> dict:
+        doc = universal_doc()
+        change(doc)
+        return doc
+
+    bad_docs = {
+        "not a string": altered(lambda d: d["states"][0].update(name=1)),
+        "initial 'yes'": altered(lambda d: d["states"][0].update(initial="yes")),
+        "final 1": altered(lambda d: d["states"][0].update(final=1)),
+        "not a list": altered(lambda d: d.update(alphabet="ab")),
+        "not a list of letters": altered(lambda d: d.update(alphabet=["a", 2])),
+        "part that is not a string": altered(lambda d: d["transitions"][0].update(to=7)),
+    }
+    for message, doc in bad_docs.items():
+        with pytest.raises(ValueError, match=message):
+            automaton_from_doc(doc)
+
+
+def test_numeric_state_name_is_a_format_error(tmp_path, capsys):
+    # A numeric name used to reach the report code and exit 4.
+    src = tmp_path / "numeric.po2"
+    doc = universal_doc()
+    doc["states"][0]["name"] = 1
+    for t in doc["transitions"]:
+        t["from"] = t["to"] = 1
+    write(src, doc)
+    assert main(["stats", str(src)]) == 2
+    assert "is not a string" in capsys.readouterr().err
+
+
 def test_validate_reports_violations(tmp_path):
     good = tmp_path / "good.po2"
     write(good, universal_doc())

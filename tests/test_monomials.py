@@ -11,7 +11,9 @@ from helpers import (
     random_lasso,
     random_monomial,
     random_restricted_monomial,
+    reference_automaton_to_polynomial,
     sample_from_monomial,
+    with_y_start,
 )
 from po2buchi.core import LEND, Po2Automaton, chain_lengths, complete
 from po2buchi.monomials import (
@@ -551,6 +553,42 @@ def test_decompose_long_chain_without_recursion():
     # 2,000 markers deep: deeper than Python's default recursion limit.
     poly = automaton_to_polynomial(one_letter_chain(2000))
     assert poly == [parse_monomial("[]*a." * 1999 + "[a]w")]
+
+
+def test_decompose_deep_crossing_without_recursion():
+    # After 2,001 markers the run turns left in y and crosses all of them
+    # back to the tape start: 2,000 nested crossings, each filled from the
+    # one before it.
+    xs = [f"x{i}" for i in range(2001)]
+    transitions = {(xs[i], "a", xs[i + 1]) for i in range(2000)}
+    transitions |= {
+        (xs[-1], "a", "y"), ("y", "a", "y"), ("y", LEND, "f"), ("f", "a", "f"),
+    }
+    a = Po2Automaton("a", {*xs, "f"}, {"y"}, transitions, {"x0"}, {"f"})
+    poly = automaton_to_polynomial(a)
+    assert poly == [parse_monomial("[]*a." * 2001 + "[a]w")]
+
+
+def test_decompose_matches_reference():
+    # The crossing memo changes how each skeleton's run is found, not which
+    # skeletons are searched or what they emit.  1,040 random machines, about
+    # 30 % of them with a Y start state.
+    rng = random.Random(16)
+    for alphabet in ("ab", "abc"):
+        for full in (True, False):
+            for _ in range(260):
+                a = random_det_automaton(rng, alphabet, 8, complete=full)
+                if rng.random() < 0.3:
+                    a = with_y_start(rng, a)
+                assert automaton_to_polynomial(a) == reference_automaton_to_polynomial(a)
+    for literal in (
+        "[a]*a.[b]*c.[c]w",
+        "[a]*c.[c]*b.[]*b.[ac]w",
+        "[c]*b.[ac]*b.[ac]*b.[c]w",
+        "[ab]*a.[]*c.[c]w",
+    ):
+        det = monomial_to_deterministic(parse_monomial(literal), alphabet="abc")
+        assert automaton_to_polynomial(det) == reference_automaton_to_polynomial(det)
 
 
 def test_decompose_rejects_nondeterministic():

@@ -9,7 +9,6 @@ from po2buchi.words import (
     STRIP,
     LassoWord,
     PrefixFactorization,
-    alphabet_of,
     compatibility_step,
     is_k_prefix_compatible,
     is_scattered_subword,
@@ -38,7 +37,7 @@ def test_lasso_letter_access():
     assert w.suffix_from(4) == LassoWord("d", "cd")
     assert w.suffix_from(6) == LassoWord("d", "cd")
     assert w.suffix_from(1) == w
-    assert alphabet_of(w) == frozenset("abcd")
+    assert w.alphabet == frozenset("abcd")
 
 
 def test_lasso_literal_round_trip():
