@@ -28,7 +28,7 @@ from .core import (
     relabel,
     require,
 )
-from .run import run_det
+from .run import crosser, run_det
 from .words import LassoWord
 
 
@@ -623,22 +623,18 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
 
     The runs read the machine's own flat ``(state, letter) -> state``
     table.  The skeleton tree is walked depth first with an explicit stack;
-    each frame holds the X state in which the run leaves its last marker
-    and a bitmask of the markers that saw a state change.  A run that turns
-    left only meets markers already on the path, so it goes through
-    crossing tables (Shepherdson 1959): ``cross[t][s]`` is the X state in
-    which a run that reads marker t in state s leaves marker t to the
-    right, with the markers where it changed state.  A Y state read off
-    marker t reads marker t - 1 next, so each entry is filled from the
-    table before it, on demand, with nested fills kept on a stack of their
-    own; a table is dropped with its marker.  A step thus costs a few
-    lookups instead of a walk back to the tape start, and only an emission
-    replays the whole run, to narrow the cells.  Neither stack uses Python
-    recursion, so long chains need no deep Python stack.  A skeleton is
-    extended only while its markers that saw no state change yet are no
-    more than the state changes left on the longest path to a final state.
-    The cost is still exponential in the chain length: up to
-    ``|alphabet|**(n - 1)`` skeletons for a chain of n states.
+    each frame holds the skeleton's last marker as a cell of
+    :func:`run.crosser`, the X state in which the run leaves it and a
+    bitmask of the markers that saw a state change.  A run that turns left
+    only meets markers already on the path, so it goes through their
+    crossing tables, and a step costs a few lookups instead of a walk back
+    to the tape start; only an emission replays the whole run, to narrow
+    the segment cells.  No step uses Python recursion, so long chains need
+    no deep Python stack.  A skeleton is extended only while its markers
+    that saw no state change yet are no more than the state changes left
+    on the longest path to a final state.  The cost is still exponential
+    in the chain length: up to ``|alphabet|**(n - 1)`` skeletons for a
+    chain of n states.
     """
     require(a, deterministic=True)
     a = ensure_x_initial(complete(a))
@@ -650,6 +646,7 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     n = len(a.states)
     delta = a._tables[0]  # complete and deterministic: every key is there
     loops = {z: a.selfloop_letters(z) for z in a.states}
+    cross = crosser(a)
     # Every marker still unvalidated when the run lands in z needs a state
     # change of its own, and those changes all lie on the run's path from z
     # to the final state where an emission happens; so a skeleton with more
@@ -657,50 +654,15 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     # extension of it.
     below = chains_to(a, final.__contains__)
     found: set[Monomial] = set()
-    # The skeleton on the search path: its markers and, per marker, the
-    # crossing table filled so far.
-    marks: list[str] = []
-    cross: list[dict[str, tuple[str, int]]] = []
 
-    def crossing(t: int, z: str) -> tuple[str, int]:
-        """The X state in which the run leaves marker t to the right after
-        the head reads it in state z, and the bitmask of markers where the
-        run changed state meanwhile.  A run turning left into cell t looks
-        up marker t - 1's table; a miss suspends this crossing on a stack
-        while the missing entry is filled.  Only those nested entries are
-        stored: lookups ask for Y states, and the outermost crossing starts
-        from the X state of a frame."""
-        suspended: list[tuple[int, str, int, int]] = []
-        key, mask, reads = z, 0, 0
-        while True:
-            # Each read of marker t is in a state later than the one before,
-            # since the run turned and came back through a state change.
-            reads += 1
-            if reads > n:
-                raise RuntimeError("abstract run did not settle")
-            nxt = delta[z, marks[t]]
-            if nxt != z:
-                mask |= 1 << t
-            if nxt in xs:
-                if not suspended:
-                    return nxt, mask
-                cross[t][key] = nxt, mask
-                done = mask
-                t, key, mask, reads = suspended.pop()
-                z = nxt
-                mask |= done
-            elif t == 0:
-                z = delta[nxt, LEND]
-            elif nxt in cross[t - 1]:
-                z, done = cross[t - 1][nxt]
-                mask |= done
-            else:
-                suspended.append((t, key, mask, reads))
-                t, key, z, mask, reads = t - 1, nxt, nxt, 0, 0
-
-    def emit(z: str) -> None:
-        # Replay the run over the skeleton, narrowing each cell to the
-        # letters on which every state crossing it loops.
+    def emit(z: str, cell) -> None:
+        marks: list[str] = []
+        while cell is not None:
+            marks.append(cell[1])
+            cell = cell[2]
+        marks.reverse()
+        # Replay the run over the skeleton, narrowing each segment cell to
+        # the letters on which every state crossing it loops.
         meets = [a.alphabet] * len(marks)
         frontier = 2 * len(marks) + 1
         limit = (n + 2) * (frontier + 3) + 4
@@ -732,39 +694,26 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
             found.add(mono)
 
     if z0 in final:
-        emit(z0)
-    # One frame per skeleton on the path: the X state in which the run
-    # leaves its last marker, the bitmask of markers that saw a state
-    # change, and the next letter to try.
-    frames = [[z0, 0, 0]]
+        emit(z0, None)
+    # One frame per skeleton on the path: its number of markers, its last
+    # cell, the X state in which the run leaves it, the bitmask of markers
+    # that saw a state change, and the next letter to try.
+    frames = [[0, None, z0, 0, 0]]
     while frames:
         frame = frames[-1]
-        z, mask, i = frame
-        t = len(marks)
+        t, cell, z, mask, i = frame
         if i == len(letters) or t >= cap:
             frames.pop()
-            if frames:
-                del marks[-1], cross[-1]
             continue
-        frame[2] = i + 1
-        c = letters[i]
-        nxt = delta[z, c]
-        marks.append(c)
-        cross.append({})
-        if nxt in xs:
-            landed = nxt
-            if nxt != z:
-                mask |= 1 << t
-        else:
-            landed, done = crossing(t, z)
-            mask |= done
+        frame[4] = i + 1
+        cell = (t, letters[i], cell, {})
+        landed, done = cross(cell, z)
+        mask |= done
         pending = t + 1 - mask.bit_count()
         if pending <= below[landed]:
             if pending == 0 and landed in final:
-                emit(landed)
-            frames.append([landed, mask, 0])
-        else:
-            del marks[-1], cross[-1]
+                emit(landed, cell)
+            frames.append([t + 1, cell, landed, mask, 0])
     return sorted(found, key=str)
 
 

@@ -11,6 +11,7 @@ stationary state); the word is accepted when that state is final.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .core import LEND, Po2Automaton
 from .words import LassoWord
@@ -108,6 +109,59 @@ def run_det(a: Po2Automaton, w: LassoWord, collect_trace: bool = False) -> RunOu
         raise ValueError(f"word uses letters outside the alphabet: {sorted(w.alphabet - a.alphabet)}")
     (z0,) = a.initial
     return simulate_from(a, w, z0, 1, collect_trace)
+
+
+def crosser(a: Po2Automaton) -> Callable[[tuple, str], tuple[str, int]]:
+    """Crossing sequences of a complete deterministic machine (Shepherdson
+    1959), over markers linked as cells.
+
+    A cell ``(t, letter, previous, table)`` is marker t of a word, read
+    after marker t - 1 (``previous``; None for the first marker) with
+    nothing in between that makes a run change state.  ``cross(cell, z)``
+    runs the machine from the head reading the cell's marker in state z
+    until it first leaves the marker to the right; it returns the X state
+    then and a bitmask with bit t set for each marker t where the run
+    changed state.  A Y state read off marker t reads marker t - 1 next, so
+    it goes through t - 1's table, keyed by the state that reads it; a
+    missing entry is filled first, with the crossing waiting on an explicit
+    stack, so deep crossings need no deep Python stack.  Only these nested
+    crossings are stored, so a table is keyed by Y states only.
+    """
+    delta = a._tables[0]
+    xs = a.x_states
+    n = len(a.states)
+
+    def cross(cell: tuple, z: str) -> tuple[str, int]:
+        suspended: list[tuple[tuple, str, int, int]] = []
+        key, mask, reads = z, 0, 0
+        while True:
+            # Each read of the marker is in a state later than the one
+            # before, since the run turned and came back through a change.
+            reads += 1
+            if reads > n:
+                raise RuntimeError("run did not cross its marker")
+            t, c, previous, _ = cell
+            nxt = delta[z, c]
+            if nxt != z:
+                mask |= 1 << t
+            if nxt in xs:
+                if not suspended:
+                    return nxt, mask
+                cell[3][key] = nxt, mask
+                done = mask
+                cell, key, mask, reads = suspended.pop()
+                z = nxt
+                mask |= done
+            elif previous is None:
+                z = delta[nxt, LEND]
+            elif nxt in previous[3]:
+                z, done = previous[3][nxt]
+                mask |= done
+            else:
+                suspended.append((cell, key, mask, reads))
+                cell, key, z, mask, reads = previous, nxt, nxt, 0, 0
+
+    return cross
 
 
 def membership_nondet(a: Po2Automaton, w: LassoWord) -> bool:

@@ -484,6 +484,34 @@ def reference_product(a: Po2Automaton, b: Po2Automaton, accept) -> Po2Automaton:
     )
 
 
+def reference_cross(a: Po2Automaton, spoke: str, z: str) -> tuple[str, int]:
+    """Run a complete deterministic machine from state z with the head on
+    the last position of ``spoke`` until it first moves past it, position by
+    position.  Returns the state then and a bit mask of the spoke positions
+    (bit p for position p) where the state changed.  The oracle for
+    ``run.crosser``."""
+    delta = a._tables[0]
+    xs = a.x_states
+    end = len(spoke) + 1
+    pos = end - 1
+    changed = steps = 0
+    limit = (len(a.states) + 1) * (end + 2)
+    while pos < end:
+        steps += 1
+        if steps > limit:
+            raise RuntimeError("run did not cross the spoke within the step budget")
+        if pos == 0:
+            z = delta[z, LEND]
+            pos = 1
+            continue
+        nxt = delta[z, spoke[pos - 1]]
+        if nxt != z:
+            changed |= 1 << pos
+        z = nxt
+        pos += 1 if z in xs else -1
+    return z, changed
+
+
 def reference_candidates(alphabet, max_len: int):
     """Every lasso ``spoke(letter)`` with spoke length at most ``max_len``,
     length-lexicographically, letters sorted."""

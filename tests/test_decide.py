@@ -199,7 +199,7 @@ def test_includes_matches_reference():
         else:
             a = random_det_automaton(rng, "ab", 3, complete=rng.random() < 0.5)
         b = random_det_automaton(rng, "ab", 3, complete=trial % 4 < 2)
-        for budget in (None, 7):
+        for budget in BUDGETS if trial % 2 else (None, 7):
             want = outcome(reference_includes, a, b, budget)
             assert outcome(includes, a, b, budget) == want, (trial, budget)
             seen.add(want if want in (None, "budget") else "witness")
@@ -347,6 +347,20 @@ def test_pruned_emptiness_matches_reference():
             want = settle(reference_is_empty, complement(complete(a)), budget=budget)
             assert settle(is_universal, a, budget=budget) == want, (trial, budget)
     assert seen == {None, "tuple", "Witness"}
+    # Nondeterministic machines walk the same trie, with nothing cut.
+    rng = random.Random(1203)
+    seen = set()
+    trial = 0
+    while trial < 80:
+        a = random_nondet_automaton(rng, "ab" if trial % 2 else "abc", 5)
+        if a.validate().is_deterministic:
+            continue
+        for budget in BUDGETS:
+            want = settle(reference_is_empty, a, budget=budget)
+            assert settle(is_empty, a, budget=budget) == want, ("nondet", trial, budget)
+            seen.add(want if want is None else type(want).__name__)
+        trial += 1
+    assert seen == {None, "tuple", "Witness"}
 
 
 def test_pruned_inclusion_and_equivalence_match_reference():
@@ -413,6 +427,26 @@ def test_pruned_search_starts_in_an_x_state():
     assert includes(m, complement(complete(m))) == Witness("abb", "a")
     assert equivalent(univ, m) == ("left", Witness("", "a"))
     assert equivalent(m, empty_machine()) == ("left", Witness("abb", "a"))
+
+
+def a_before_first_b_and_a_after() -> Po2Automaton:
+    """Accepts a+ b (a|b)^w with an a after the first b.  At the first b the
+    head walks back over the spoke and changes state on the a before it, so
+    the trie must follow that run through the earlier positions' cells."""
+    t = {
+        ("x0", "a", "x0"), ("x0", "b", "y1"),
+        ("y1", "a", "y2"), ("y1", "b", "y1"), ("y1", LEND, "dead"),
+        ("y2", "a", "y2"), ("y2", "b", "y2"), ("y2", LEND, "xf"),
+        ("xf", "a", "xf"), ("xf", "b", "xh"), ("xh", "a", "xg"), ("xh", "b", "xh"),
+        ("xg", "a", "xg"), ("xg", "b", "xg"), ("dead", "a", "dead"), ("dead", "b", "dead"),
+    }
+    return Po2Automaton("ab", {"x0", "xf", "xh", "xg", "dead"}, {"y1", "y2"}, t, {"x0"}, {"xg"})
+
+
+def test_pruned_search_follows_a_run_back_over_the_spoke():
+    m = a_before_first_b_and_a_after()
+    assert is_empty(m) == Witness("ab", "a") == reference_is_empty(m)
+    assert includes(m, empty_machine()) == Witness("ab", "a")
 
 
 def test_negative_budgets_are_rejected():

@@ -4,9 +4,23 @@ import random
 
 import pytest
 
-from helpers import random_det_automaton, random_lasso, random_nondet_automaton
-from po2buchi.core import LEND, Po2Automaton
-from po2buchi.run import ACCEPTED, REJECTED, STUCK, membership_nondet, run_det, simulate_from
+from helpers import (
+    random_det_automaton,
+    random_lasso,
+    random_nondet_automaton,
+    reference_cross,
+    with_y_start,
+)
+from po2buchi.core import LEND, Po2Automaton, complete, ensure_x_initial
+from po2buchi.run import (
+    ACCEPTED,
+    REJECTED,
+    STUCK,
+    crosser,
+    membership_nondet,
+    run_det,
+    simulate_from,
+)
 from po2buchi.words import LassoWord
 
 
@@ -110,6 +124,52 @@ def test_cycle_raises_runtime_error():
     )
     with pytest.raises(RuntimeError):
         run_det(a, LassoWord("", "a"))
+
+
+def test_cross_matches_position_by_position_walk():
+    # Spokes share the cells of their common prefixes, so a crossing reads
+    # tables that other spokes filled.  Mask bit t stands for position t + 1.
+    rng = random.Random(1401)
+    machines = [contains_b(), first_letter_a_and_some_c()]
+    for trial in range(120):
+        alphabet = "ab" if trial % 2 else "abc"
+        m = random_det_automaton(rng, alphabet, 7)
+        machines.append(complete(with_y_start(rng, m)) if trial % 3 == 0 else m)
+    for a in machines:
+        a = ensure_x_initial(a)
+        cross = crosser(a)
+        letters = sorted(a.alphabet)
+        (z0,) = a.initial
+        cells = {"": (None, z0)}
+        for _ in range(12):
+            spoke = "".join(rng.choice(letters) for _ in range(rng.randint(1, 9)))
+            for p in range(1, len(spoke) + 1):
+                if spoke[:p] in cells:
+                    continue
+                previous, z = cells[spoke[: p - 1]]
+                cell = (p - 1, spoke[p - 1], previous, {})
+                got, mask = cross(cell, z)
+                want, changed = reference_cross(a, spoke[:p], z)
+                assert (got, mask << 1) == (want, changed), (a, spoke[:p])
+                assert got in a.x_states
+                cells[spoke[:p]] = (cell, got)
+    # The Y state walks back over every marker to the tape start.
+    a = contains_b()
+    cross = crosser(a)
+    cell = None
+    for t, c in enumerate("aaab"):
+        cell = (t, c, cell, {})
+    assert cross(cell, "x0") == ("x1", 1 << 3)
+
+
+def test_cross_guards_against_cycles():
+    a = Po2Automaton(
+        "a", {"x"}, {"y"},
+        {("x", "a", "y"), ("y", LEND, "x"), ("y", "a", "y")},
+        {"x"}, set(),
+    )
+    with pytest.raises(RuntimeError, match="did not cross"):
+        crosser(a)((0, "a", None, {}), "x")
 
 
 def test_trace_structure():
