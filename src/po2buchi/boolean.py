@@ -53,6 +53,8 @@ def _product(
     # Both operands are complete and deterministic, so every key is there.
     delta1 = a._tables[0]
     delta2 = b._tables[0]
+    y1 = a.y_states
+    y2 = b.y_states
 
     def step(key: _Key, c: str) -> _Key:
         active, s1, s2, sig, k = key
@@ -66,7 +68,7 @@ def _product(
         z1 = delta1[s1, c]
         z2 = delta2[s2, c]
         if active:
-            if not ops[active].is_x(z1 if active == 1 else z2):
+            if (z1 in y1) if active == 1 else (z2 in y2):
                 raise RuntimeError("internal: the diver is not in an X state after the crossing")
         elif z1 != s1 or z2 != s2:
             sig += c
@@ -74,39 +76,45 @@ def _product(
                 raise RuntimeError("internal: stack outgrew the chain-length bound")
         # A diving machine becomes active; the other slot keeps the state
         # whose transition is re-issued when the diver crosses back.
-        if z1 in a.y_states:
+        if z1 in y1:
             return (1, z1, s2, sig, len(sig))
-        if z2 in b.y_states:
+        if z2 in y2:
             return (2, s1, z2, sig, len(sig))
         return (0, z1, z2, sig, 0)
 
-    def is_x_key(key: _Key) -> bool:
-        active, s1, s2, _, _ = key
-        return not active or ops[active].is_x(s1 if active == 1 else s2)
+    names: dict[_Key, str] = {}  # every key seen, named when first met
+    # Each name goes into one of these when its key is first met: a key is
+    # a Y key when its diver is in a Y state.
+    xs: set[str] = set()
+    ys: set[str] = set()
+    queue: list[_Key] = []
 
-    def name_of(key: _Key) -> str:
+    def meet(key: _Key) -> str:
         active, s1, s2, sig, k = key
-        return f"a{active}|{s1}|{s2}|{sig}|{k}" if active else f"s|{s1}|{s2}|{sig}"
+        if not active:
+            name = f"s|{s1}|{s2}|{sig}"
+            xs.add(name)
+        else:
+            name = f"a{active}|{s1}|{s2}|{sig}|{k}"
+            (ys if (s1 in y1 if active == 1 else s2 in y2) else xs).add(name)
+        names[key] = name
+        queue.append(key)
+        return name
 
     (i1,) = a.initial
     (i2,) = b.initial
-    start: _Key = (0, i1, i2, "", 0)
-    names = {start: name_of(start)}  # every key seen, named when first met
-    queue = [start]
-    transitions: set[tuple[str, str, str]] = set()
+    start = meet((0, i1, i2, "", 0))
+    transitions = []  # each key is expanded once, so nothing repeats
     while queue:
         key = queue.pop()
         if key[0] and not 1 <= key[4] <= len(key[3]):
             raise RuntimeError("internal: tracker index left the stack word")
         src = names[key]
-        for c in letters if is_x_key(key) else y_letters:
+        for c in y_letters if src in ys else letters:
             nxt = step(key, c)
-            if nxt not in names:
-                names[nxt] = name_of(nxt)
-                queue.append(nxt)
-            transitions.add((src, c, names[nxt]))
+            transitions.append((src, c, names.get(nxt) or meet(nxt)))
 
-    if len(set(names.values())) != len(names):
+    if len(xs | ys) != len(names):
         raise RuntimeError("internal: product state names collided")
     if cap == 0:
         if len(names) != 1:
@@ -117,10 +125,10 @@ def _product(
             raise RuntimeError(f"internal: product has {len(names)} states, over the bound {bound}")
     return Po2Automaton(
         a.alphabet,
-        {name for k, name in names.items() if is_x_key(k)},
-        {name for k, name in names.items() if not is_x_key(k)},
+        xs,
+        ys,
         transitions,
-        {names[start]},
+        {start},
         {name for k, name in names.items() if not k[0] and accept(k[1], k[2])},
     )
 

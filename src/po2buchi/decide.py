@@ -91,23 +91,29 @@ class _Meter:
 
 
 def _trie_search(
-    a: Po2Automaton, b: Po2Automaton | None, bound: int, meter: _Meter
+    a: Po2Automaton,
+    b: Po2Automaton | None,
+    bound: int,
+    meter: _Meter,
+    walk: Po2Automaton | None,
 ) -> Witness | None:
     """Length-lex first candidate up to spoke length ``bound`` that ``a``
     accepts and ``b``, when given, does not, walking spokes as a trie.
 
-    When ``a`` is deterministic its run, and ``b``'s, walk a complete copy
-    with an X initial state, each paired with its ``chains_to`` table.  A
-    node is ``(spoke, lex index of the spoke among its length, per run the
-    cell of the spoke's last position and the state as the head first
-    passes it, mask of the positions that saw a change)``.  Otherwise no
-    run is walked and no node is cut.
+    ``walk`` is a complete copy of ``a`` when the caller's ``require``
+    found ``a`` deterministic, and None otherwise.  Then its run, and
+    ``b``'s, walk a copy with an X initial state, ``b``'s completed first,
+    each paired with its ``chains_to`` table.  A node is ``(spoke, lex
+    index of the spoke among its length, per run the cell of the spoke's
+    last position and the state as the head first passes it, mask of the
+    positions that saw a change)``.  Without ``walk`` no run is walked and
+    no node is cut.
     """
     letters = sorted(a.alphabet)
     k = len(letters)
     walks = []
-    if a.validate().is_deterministic:
-        wa = ensure_x_initial(complete(a))
+    if walk is not None:
+        wa = ensure_x_initial(walk)
         walks.append((wa, chains_to(wa, wa.final.__contains__)))
         if b is not None:
             wb = ensure_x_initial(complete(b))
@@ -177,11 +183,12 @@ def is_empty(a: Po2Automaton, *, budget: int | None = None) -> Witness | None:
     budget is a ValueError.
     """
     meter = _Meter(budget, "emptiness check")
-    require(a)
+    deterministic = require(a).is_deterministic
     if not a.alphabet:
         return None
     ac = complete(a)
-    return _trie_search(ac, None, max(chain_lengths(ac)[0] - 1, 0), meter)
+    bound = max(chain_lengths(ac)[0] - 1, 0)
+    return _trie_search(ac, None, bound, meter, ac if deterministic else None)
 
 
 def includes(
@@ -203,11 +210,12 @@ def includes(
     meter = _Meter(budget, "inclusion check")
     if frozenset(a.alphabet) != frozenset(b.alphabet):
         raise ValueError("inclusion needs a shared alphabet")
-    require(a)
+    deterministic = require(a).is_deterministic
     require(b, deterministic=True)
     if not a.alphabet:
         return None
-    return _trie_search(a, b, len(a.states) + len(b.states) + 2, meter)
+    bound = len(a.states) + len(b.states) + 2
+    return _trie_search(a, b, bound, meter, complete(a) if deterministic else None)
 
 
 def equivalent(

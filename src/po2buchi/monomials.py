@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import product
 
 from .boolean import product_union
 from .core import (
@@ -128,41 +128,115 @@ def monomial_member(m: Monomial, w: LassoWord) -> bool:
     return any(period_ok and set(text[s:]) <= m.tail for s in reach)
 
 
-def _position_constraint(m: Monomial, vec: tuple[int, ...], i: int) -> frozenset[str]:
-    """Letters allowed at position i when markers sit at the given positions."""
-    for t, p in enumerate(vec):
-        if i == p:
-            return frozenset((m.markers[t],))
-        if i < p:
-            return m.segments[t]
-    return m.tail
-
-
 def is_unambiguous_bounded(m: Monomial, bound: int | None = None) -> LassoWord | None:
     """Search for a word admitting two distinct factorizations.
 
     Returns a witness lasso if two different marker placements within the
-    first ``bound`` positions are jointly satisfiable, and None otherwise.
-    None means "unambiguous up to the bound", not a proof of unambiguity.
+    first ``bound`` positions (default ``degree + 5``) are jointly
+    satisfiable, and None otherwise.  None means "unambiguous up to the
+    bound", not a proof of unambiguity.
+
+    The witness is the first one a scan of all pairs of placements in lex
+    order would meet: the lex-least placement that has a partner, its
+    lex-least partner, and at each position up to the later last marker
+    the least letter both allow.  Sweeps over positions ``1..bound`` find
+    it.  A sweep state ``(ta, tb, split)`` counts the markers each
+    placement has put down and says whether the two differ yet, and a
+    position takes a move of both when their letters there intersect.  A
+    forward sweep collects the reachable states; if none has both
+    placements complete and distinct at the end, the answer is None.
+    Otherwise a backward pass keeps the reachable states from which both
+    can still finish, and a greedy pass puts the first placement's markers
+    down as early as those allow, tracking every state its partner can be
+    in.  A second backward table, with those moves forced, guides the same
+    greedy pass for the partner.  Cost ``O(bound * (degree + 1)**2)``
+    table cells, where the scan tried up to ``C(bound, degree)**2 / 2``
+    pairs.
     """
     if bound is None:
         bound = m.degree + 5
-    if m.degree == 0 or not m.tail:
+    k = m.degree
+    if k == 0 or not m.tail or bound < k:
         return None
-    vectors = list(combinations(range(1, bound + 1), m.degree))
-    anchor = min(m.tail)
-    for idx, va in enumerate(vectors):
-        for vb in vectors[idx + 1 :]:
-            horizon = max(va[-1], vb[-1])
-            letters = []
-            for i in range(1, horizon + 1):
-                allowed = _position_constraint(m, va, i) & _position_constraint(m, vb, i)
-                if not allowed:
-                    break
-                letters.append(min(allowed))
-            else:
-                return LassoWord("".join(letters), anchor)
-    return None
+    # allows[t][d]: the letters a placement that has put down t markers
+    # allows at a position where it puts down d more (no marker past k).
+    allows = [
+        (m.segments[t] if t < k else m.tail, frozenset(m.markers[t : t + 1]))
+        for t in range(k + 1)
+    ]
+    # fits[ta][tb][da, db]: the letters both placements allow, kept where
+    # there are some.
+    fits = [[{} for _ in range(k + 1)] for _ in range(k + 1)]
+    for ta, tb, da, db in product(range(k + 1), range(k + 1), (1, 0), (1, 0)):
+        both = allows[ta][da] & allows[tb][db]
+        if both:
+            fits[ta][tb][da, db] = both
+
+    # reach[p]: the states the sweep can be in after p positions.
+    reach = [{(0, 0, False)}]
+    for _ in range(bound):
+        reach.append({
+            (ta + da, tb + db, split or da != db)
+            for ta, tb, split in reach[-1]
+            for da, db in fits[ta][tb]
+        })
+    if (k, k, True) not in reach[bound]:
+        return None
+    # live[p]: the states in reach[p] from which both placements can still
+    # finish, distinct, within the bound.
+    live = [set() for _ in range(bound)] + [{(k, k, True)}]
+    for p in range(bound - 1, -1, -1):
+        for ta, tb, split in reach[p]:
+            if any(
+                (ta + da, tb + db, split or da != db) in live[p + 1]
+                for da, db in fits[ta][tb]
+            ):
+                live[p].add((ta, tb, split))
+
+    # The first placement, as (markers before, marker here) per position.
+    path = []
+    ta, partners = 0, {(0, False)}
+    for p in range(bound):
+        for da in (1, 0):
+            after = {
+                (tb + db, split or da != db)
+                for tb, split in partners
+                for ea, db in fits[ta][tb]
+                if ea == da and (ta + da, tb + db, split or da != db) in live[p + 1]
+            }
+            if after:
+                break
+        else:
+            raise RuntimeError("internal: the ambiguity sweep lost every partner")
+        path.append((ta, da))
+        ta, partners = ta + da, after
+
+    # forced[p]: the partner's states after p positions that can still
+    # finish, distinct, against the first placement's moves.
+    forced = [set() for _ in range(bound)] + [{(k, True)}]
+    for p in range(bound - 1, -1, -1):
+        ta, da = path[p]
+        for tb, split in product(range(k + 1), (False, True)):
+            if any(
+                ea == da and (tb + db, split or da != db) in forced[p + 1]
+                for ea, db in fits[ta][tb]
+            ):
+                forced[p].add((tb, split))
+
+    letters = []
+    tb, split = 0, False
+    for p, (ta, da) in enumerate(path):
+        if ta == tb == k:  # past the later last marker
+            break
+        for db in (1, 0):
+            both = fits[ta][tb].get((da, db))
+            if both and (tb + db, split or da != db) in forced[p + 1]:
+                break
+        else:
+            raise RuntimeError("internal: the ambiguity sweep lost the partner")
+        letters.append(min(both))
+        tb, split = tb + db, split or da != db
+    return LassoWord("".join(letters), min(m.tail))
 
 
 def _ambient(m: Monomial, alphabet=None) -> frozenset[str]:

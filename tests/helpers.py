@@ -9,7 +9,7 @@ later, faster code is checked against.
 
 import random
 from graphlib import CycleError, TopologicalSorter
-from itertools import product
+from itertools import combinations, product
 
 from po2buchi.compat import _check_tracker_args, tracker_step
 from po2buchi.core import (
@@ -26,6 +26,7 @@ from po2buchi.core import (
 from po2buchi.decide import BudgetExceeded, Witness
 from po2buchi.monomials import Monomial
 from po2buchi.run import ACCEPTED, membership_nondet, run_det
+from po2buchi.words import LassoWord
 
 
 def random_det_automaton(
@@ -233,8 +234,6 @@ def random_nondet_automaton(
 
 
 def random_lasso(rng: random.Random, alphabet: str, max_spoke: int = 5, max_period: int = 4):
-    from po2buchi.words import LassoWord
-
     spoke = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_spoke)))
     period = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, max_period)))
     return LassoWord(spoke, period)
@@ -310,7 +309,6 @@ def formula_reader_cost(f) -> int:
 
 def sample_from_monomial(rng: random.Random, m):
     """A random lasso inside the monomial's language (tail must be nonempty)."""
-    from po2buchi.words import LassoWord
 
     parts = []
     for seg, mark in zip(m.segments, m.markers):
@@ -482,6 +480,41 @@ def reference_product(a: Po2Automaton, b: Po2Automaton, accept) -> Po2Automaton:
         {names[start]},
         {name for k, name in names.items() if k[0] == "s" and accept(k[1], k[2])},
     )
+
+
+def _position_constraint(m: Monomial, vec: tuple[int, ...], i: int) -> frozenset[str]:
+    """Letters allowed at position i when markers sit at the given positions."""
+    for t, p in enumerate(vec):
+        if i == p:
+            return frozenset((m.markers[t],))
+        if i < p:
+            return m.segments[t]
+    return m.tail
+
+
+def reference_is_unambiguous_bounded(m: Monomial, bound: int | None = None) -> LassoWord | None:
+    """The ambiguity check as first written: try every pair of marker
+    vectors within the bound in lex order and return the first jointly
+    satisfiable pair's letters.  The oracle for
+    ``monomials.is_unambiguous_bounded``."""
+    if bound is None:
+        bound = m.degree + 5
+    if m.degree == 0 or not m.tail:
+        return None
+    vectors = list(combinations(range(1, bound + 1), m.degree))
+    anchor = min(m.tail)
+    for idx, va in enumerate(vectors):
+        for vb in vectors[idx + 1 :]:
+            horizon = max(va[-1], vb[-1])
+            letters = []
+            for i in range(1, horizon + 1):
+                allowed = _position_constraint(m, va, i) & _position_constraint(m, vb, i)
+                if not allowed:
+                    break
+                letters.append(min(allowed))
+            else:
+                return LassoWord("".join(letters), anchor)
+    return None
 
 
 def reference_cross(a: Po2Automaton, spoke: str, z: str) -> tuple[str, int]:
