@@ -5,7 +5,7 @@ Constructions (boolean closure, monomial translations), decision procedures
 reduction for machines whose self-loop-free transition graph is acyclic.
 """
 
-from .boolean import boolean_combine, product_intersection, product_union
+from .boolean import product_intersection, product_union
 from .core import (
     LEND,
     Po2Automaton,
@@ -66,7 +66,6 @@ __all__ = [
     "Var",
     "Witness",
     "automaton_to_polynomial",
-    "boolean_combine",
     "build_sat_automaton",
     "chain_lengths",
     "complement",

@@ -20,19 +20,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .compat import tracker_step
-from .core import (
-    LEND,
-    Po2Automaton,
-    chain_lengths,
-    complement,
-    complete,
-    ensure_x_initial,
-    require,
-)
-
-UNION = "union"
-INTERSECTION = "intersection"
-COMPLEMENT = "complement"
+from .core import LEND, Po2Automaton, chain_lengths, ensure_x_initial, require
 
 _Key = tuple[int, str, str, str, int]  # (active, s1, s2, sig, k)
 
@@ -142,19 +130,3 @@ def product_intersection(a: Po2Automaton, b: Po2Automaton) -> Po2Automaton:
     """Deterministic machine for the intersection of two lasso languages."""
     return _product(a, b, lambda x1, x2: x1 in a.final and x2 in b.final)
 
-
-def boolean_combine(
-    op: str, a: Po2Automaton, b: Po2Automaton | None = None
-) -> Po2Automaton:
-    """Union, intersection or complement; operands are completed first."""
-    if op == COMPLEMENT:
-        if b is not None:
-            raise ValueError("complement takes a single operand")
-        return complement(complete(a))
-    if b is None:
-        raise ValueError(f"{op} takes two operands")
-    if op == UNION:
-        return product_union(complete(a), complete(b))
-    if op == INTERSECTION:
-        return product_intersection(complete(a), complete(b))
-    raise ValueError(f"unknown operation {op!r}")

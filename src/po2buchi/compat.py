@@ -3,8 +3,8 @@
 Given a marker word ``v = a1 ... am``, the tracker pairs every automaton
 state with an index ``1..m``.  While the head wanders left of a position
 whose prefix factorizes along ``v``, the index certifies which factored
-suffix the stretch between head and that position still fits
-(:func:`po2buchi.words.is_k_prefix_compatible`).  Reading a letter updates
+suffix the stretch between head and that position still fits (the
+k-prefix compatibility of the paper's calculus).  Reading a letter updates
 the index in two phases: leaving a Y state first extends the certified
 stretch leftward (the prepend transfer), then entering an X state shrinks
 it from the left (the strip transfer).  The single strip case that would
@@ -14,8 +14,10 @@ factored position.
 
 The tracker is a closed-form step, :func:`tracker_step`, computed from one
 successor lookup and the marker word; the product calls it directly.
-:func:`tracker_table` spells the same steps out as a whole table, the
-oracle form that :func:`build_tracker` and the tests read.
+:func:`tracker_table` spells the same steps out as a whole table.  The
+calculus itself and the tracker as a machine of its own live with the
+tests (``tests/compat_oracle.py``), which check the closed form against
+them.
 """
 
 from __future__ import annotations
@@ -77,53 +79,3 @@ def tracker_table(a: Po2Automaton, v: str) -> Mapping[TrackerKey, TrackerState]:
                     table[z, k, c] = hit
     return MappingProxyType(table)
 
-
-def tracker_state_name(state: str, index: int) -> str:
-    return f"{state}@{index}"
-
-
-def parse_tracker_state(name: str) -> TrackerState:
-    state, _, index = name.rpartition("@")
-    return state, int(index)
-
-
-def build_tracker(a: Po2Automaton, v: str) -> Po2Automaton:
-    """The tracker as an automaton of its own.
-
-    States are ``state@index`` pairs reachable from any pair with index
-    ``m``; runs start from the initial state at index ``m``.  The result is
-    deterministic and acyclic: on X states the index never decreases, on Y
-    states it never increases, and any mixed cycle would project onto a
-    cycle of the underlying machine.
-    """
-    table = tracker_table(a, v)
-    m = len(v)
-    if len(a.initial) != 1:
-        raise ValueError("tracker automaton needs a unique initial state")
-    (z0,) = a.initial
-
-    roots = {(z, m) for z in a.states}
-    reachable: set[TrackerState] = set(roots)
-    frontier = list(roots)
-    while frontier:
-        z, k = frontier.pop()
-        for c in list(a.alphabet) + [LEND]:
-            dst = table.get((z, k, c))
-            if dst is not None and dst not in reachable:
-                reachable.add(dst)
-                frontier.append(dst)
-
-    names = {zk: tracker_state_name(*zk) for zk in reachable}
-    transitions = {
-        (names[z, k], c, names[table[z, k, c]])
-        for (z, k, c) in table
-        if (z, k) in reachable
-    }
-    return Po2Automaton(
-        a.alphabet,
-        {names[z, k] for z, k in reachable if z in a.x_states},
-        {names[z, k] for z, k in reachable if z in a.y_states},
-        transitions,
-        {names[z0, m]},
-        {names[z, k] for z, k in reachable if z in a.final},
-    )

@@ -108,13 +108,6 @@ class Po2Automaton:
                 delta[key] = dst
         return delta, {key: frozenset(dsts) for key, dsts in several.items()}
 
-    def successors(self, state: str, letter: str) -> frozenset[str]:
-        delta, several = self._tables
-        key = state, letter
-        if key in delta:
-            return frozenset((delta[key],))
-        return several.get(key, frozenset())
-
     def det_successor(self, state: str, letter: str) -> str | None:
         """The unique successor, None if there is none, error if several.
 

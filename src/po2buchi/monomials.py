@@ -317,10 +317,8 @@ def relativize(
     if marker in forbid:
         raise ValueError("marker cannot be a forbidden letter")
     delta = b._tables[0]  # deterministic: every transition is in it
-    alive: set[str] = set()  # the states that can reach a final state
-    for z in b._order[0]:  # each state after its successors
-        if z in b.final or not alive.isdisjoint(b._change_edges[z]):
-            alive.add(z)
+    # the states that can reach a final state
+    alive = {z for z, n in chains_to(b, b.final.__contains__).items() if n >= 0}
 
     xs = set(b.x_states)
     ys = set(b.y_states)
@@ -396,23 +394,8 @@ def relativize(
 # --- finite-word segment acceptors ----------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteAcceptor:
-    """Two-way acceptor of the finite segment between the tape start and
-    the first occurrence of a designated end letter.
-
-    The decision is delivered at two outcome states without outgoing
-    transitions; each is entered exactly by reading the end letter while
-    moving right, so the head ends just past the delimiter.
-    """
-
-    machine: Po2Automaton
-    accept: str
-    reject: str
-
-
 def _graft(
-    acc: FiniteAcceptor,
+    acc: Po2Automaton,
     prefix: str,
     on_accept: str,
     on_reject: str,
@@ -420,12 +403,13 @@ def _graft(
     ys: set[str],
     transitions: set[tuple[str, str, str]],
 ) -> str:
-    """Embed an acceptor under a name prefix, rewiring its outcome entries.
+    """Embed an acceptor under a name prefix, rewiring the entries into its
+    outcome states ``yes`` and ``no``.
 
     Returns the renamed initial state.
     """
-    m = relabel(acc.machine, lambda s: prefix + s)
-    hit, miss = prefix + acc.accept, prefix + acc.reject
+    m = relabel(acc, lambda s: prefix + s)
+    hit, miss = prefix + "yes", prefix + "no"
     for s, c, d in m.transitions:
         if d == hit:
             d = on_accept
@@ -469,9 +453,14 @@ def finite_monomial_acceptor(
     alphabet,
     *,
     forbid: frozenset[str] = frozenset(),
-) -> FiniteAcceptor:
+) -> Po2Automaton:
     """Deterministic two-way acceptor for ``A1*a1 ... A_{j-1}* a_{j-1} Aj*``
     on the segment delimited by the tape start and the first ``end`` letter.
+
+    The decision is delivered at two outcome states, ``yes`` and ``no``,
+    without outgoing transitions; each is entered exactly by reading the
+    end letter while moving right, so the head ends just past the
+    delimiter.
 
     The monomial must avoid the end letter.  Letters in ``forbid`` are never
     placed on internal edges, so the result can be embedded into regions
@@ -502,8 +491,7 @@ def finite_monomial_acceptor(
         transitions.update(("go", c, "fail") for c in usable - seg - {end})
         transitions.update(("fail", c, "fail") for c in usable - {end})
         transitions.add(("fail", end, "no"))
-        machine = Po2Automaton(alphabet, xs, set(), transitions, {"go"}, set())
-        return FiniteAcceptor(machine, "yes", "no")
+        return Po2Automaton(alphabet, xs, set(), transitions, {"go"}, set())
 
     split = sorted(letters - segments[0])
     if not split:
@@ -549,11 +537,7 @@ def finite_monomial_acceptor(
         q_acc = finite_monomial_acceptor(
             q_segs, q_marks, end, alphabet, forbid=forbid
         )
-        q_rel = FiniteAcceptor(
-            relativize(q_acc.machine, b, forbid=forbid | {end}),
-            q_acc.accept,
-            q_acc.reject,
-        )
+        q_rel = relativize(q_acc, b, forbid=forbid | {end})
         q_init = _graft(q_rel, f"c{i}q.", "yes", wind, xs, ys, transitions)
         p_acc = finite_monomial_acceptor(
             p_segs, p_marks, b, alphabet, forbid=forbid | {end}
@@ -561,19 +545,17 @@ def finite_monomial_acceptor(
         fallback = _graft(p_acc, f"c{i}p.", q_init, wind, xs, ys, transitions)
 
     transitions.add(("rb", LEND, fallback))
-    machine = Po2Automaton(alphabet, xs, ys, transitions, {"d0"}, set())
-    return FiniteAcceptor(machine, "yes", "no")
+    return Po2Automaton(alphabet, xs, ys, transitions, {"d0"}, set())
 
 
-def _mirror_acceptor(segments, markers, end, alphabet, forbid) -> FiniteAcceptor:
+def _mirror_acceptor(segments, markers, end, alphabet, forbid) -> Po2Automaton:
     """Decide the segment right to left when only its far end has a split
     letter: run the acceptor of the reversed monomial with polarities
     flipped, entering at the delimiter and bouncing off the tape start."""
-    rev = finite_monomial_acceptor(
+    m = finite_monomial_acceptor(
         segments[::-1], markers[::-1], end, alphabet, forbid=forbid
     )
-    m = rev.machine
-    drop = {rev.accept, rev.reject}
+    drop = {"yes", "no"}
     if {"w0", "pa", "pr"} & m.states:
         raise RuntimeError("mirror wrapper names collide")
     xs = set(m.y_states) | {"w0", "pa", "pr", "yes", "no"}
@@ -585,9 +567,9 @@ def _mirror_acceptor(segments, markers, end, alphabet, forbid) -> FiniteAcceptor
                 raise RuntimeError("tape-start edge into an outcome state")
             transitions.add((s, end, d))
         elif c == end:
-            if d == rev.accept:
+            if d == "yes":
                 transitions.add((s, LEND, "pa"))
-            elif d == rev.reject:
+            elif d == "no":
                 transitions.add((s, LEND, "pr"))
             else:
                 if d not in m.y_states:
@@ -602,8 +584,7 @@ def _mirror_acceptor(segments, markers, end, alphabet, forbid) -> FiniteAcceptor
     for probe, outcome in (("pa", "yes"), ("pr", "no")):
         transitions.update((probe, c, probe) for c in usable)
         transitions.add((probe, end, outcome))
-    machine = Po2Automaton(alphabet, xs, ys, transitions, {"w0"}, set())
-    return FiniteAcceptor(machine, "yes", "no")
+    return Po2Automaton(alphabet, xs, ys, transitions, {"w0"}, set())
 
 
 # --- deterministic construction -------------------------------------------
@@ -702,8 +683,9 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     bitmask of the markers that saw a state change.  A run that turns left
     only meets markers already on the path, so it goes through their
     crossing tables, and a step costs a few lookups instead of a walk back
-    to the tape start; only an emission replays the whole run, to narrow
-    the segment cells.  No step uses Python recursion, so long chains need
+    to the tape start; only an emission runs the machine itself
+    (:func:`run.run_det` on its markers with empty gaps), to narrow the
+    segment cells.  No step uses Python recursion, so long chains need
     no deep Python stack.  A skeleton is extended only while its markers
     that saw no state change yet are no more than the state changes left
     on the longest path to a final state.  The cost is still exponential
@@ -717,8 +699,6 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     cap = max(chain_lengths(a)[0] - 1, 0)
     xs = a.x_states
     final = a.final
-    n = len(a.states)
-    delta = a._tables[0]  # complete and deterministic: every key is there
     loops = {z: a.selfloop_letters(z) for z in a.states}
     cross = crosser(a)
     # Every marker still unvalidated when the run lands in z needs a state
@@ -735,25 +715,18 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
             marks.append(cell[1])
             cell = cell[2]
         marks.reverse()
-        # Replay the run over the skeleton, narrowing each segment cell to
-        # the letters on which every state crossing it loops.
+        # Narrow each segment cell to the letters on which every state
+        # crossing it loops.  Run the machine on the markers with empty gaps
+        # up to the first position past the last marker: a state reaching
+        # marker p moving right crossed gap p - 1, and a state reaching
+        # position p moving left crossed gap p.
         meets = [a.alphabet] * len(marks)
-        frontier = 2 * len(marks) + 1
-        limit = (n + 2) * (frontier + 3) + 4
-        s, loc, steps = z0, 1, 0
-        while loc < frontier:
-            steps += 1
-            if steps > limit:
-                raise RuntimeError("abstract run did not settle")
-            if loc == 0:
-                s = delta[s, LEND]
-                loc = 1
-            elif loc % 2:
-                meets[loc // 2] &= loops[s]
-                loc += 1 if s in xs else -1
-            else:
-                s = delta[s, marks[loc // 2 - 1]]
-                loc += 1 if s in xs else -1
+        if marks:
+            word = "".join(marks)
+            for s, p in run_det(a, LassoWord(word, word[-1]), collect_trace=True).trace:
+                if p > len(word):
+                    break
+                meets[p - 1 if s in xs else p] &= loops[s]
         options = []
         for i, meet in enumerate(meets):
             later = frozenset(marks[i:])

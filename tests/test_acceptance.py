@@ -11,6 +11,13 @@ from functools import reduce
 from itertools import product
 from pathlib import Path
 
+from compat_oracle import (
+    PREPEND,
+    STRIP,
+    PrefixFactorization,
+    compatibility_step,
+    is_k_prefix_compatible,
+)
 from helpers import (
     evaluate_formula,
     formula_reader_cost,
@@ -34,14 +41,7 @@ from po2buchi.monomials import (
 )
 from po2buchi.run import membership_nondet, run_det
 from po2buchi.satred import build_sat_automaton, sat_via_emptiness, var_count
-from po2buchi.words import (
-    PREPEND,
-    STRIP,
-    PrefixFactorization,
-    LassoWord,
-    compatibility_step,
-    is_k_prefix_compatible,
-)
+from po2buchi.words import LassoWord
 from test_cli import TRANSCRIPT_COMMANDS, transcript
 from test_compat import harvest_and_check
 from test_decide import first_accepted

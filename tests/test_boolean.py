@@ -6,12 +6,8 @@ import pytest
 
 from helpers import random_det_automaton, random_lasso, reference_product
 from po2buchi import monomials
-from po2buchi.boolean import (
-    boolean_combine,
-    product_intersection,
-    product_union,
-)
-from po2buchi.core import LEND, Po2Automaton, chain_lengths
+from po2buchi.boolean import product_intersection, product_union
+from po2buchi.core import LEND, Po2Automaton, chain_lengths, complement, complete
 from po2buchi.run import run_det
 
 # Monomials whose determinizations spend their time in the product.
@@ -52,12 +48,6 @@ def test_product_checks_preconditions():
     other = random_det_automaton(random.Random(2), "abc", 4)
     with pytest.raises(ValueError):
         product_union(a, other)
-    with pytest.raises(ValueError):
-        boolean_combine("xor", a, a)
-    with pytest.raises(ValueError):
-        boolean_combine("complement", a, a)
-    with pytest.raises(ValueError):
-        boolean_combine("union", a)
 
 
 def test_products_agree_with_operands():
@@ -125,7 +115,7 @@ def test_product_with_y_initial_operand():
             assert run_det(u, w).accepted == want
 
 
-def test_boolean_combine_completes_and_complements():
+def test_completed_operands_combine_and_complement():
     rng = random.Random(44)
     incomplete = Po2Automaton(
         "ab", {"p", "q"}, set(),
@@ -133,10 +123,10 @@ def test_boolean_combine_completes_and_complements():
         {"p"}, {"q"},
     )
     full = random_det_automaton(rng, "ab", 4)
-    u = boolean_combine("union", incomplete, full)
+    u = product_union(complete(incomplete), complete(full))
     assert u.validate().is_complete
-    comp = boolean_combine("complement", incomplete)
-    comp2 = boolean_combine("complement", comp)
+    comp = complement(complete(incomplete))
+    comp2 = complement(complete(comp))
     for _ in range(30):
         w = random_lasso(rng, "ab")
         direct = run_det(incomplete, w)

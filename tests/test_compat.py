@@ -4,11 +4,17 @@ import random
 
 import pytest
 
+from compat_oracle import (
+    build_tracker,
+    is_k_prefix_compatible,
+    parse_tracker_state,
+    prefix_factorize,
+)
 from helpers import random_det_automaton, random_lasso, reference_tracker_table
-from po2buchi.compat import build_tracker, parse_tracker_state, tracker_step, tracker_table
+from po2buchi.compat import tracker_step, tracker_table
 from po2buchi.core import LEND, Po2Automaton
 from po2buchi.run import run_det
-from po2buchi.words import LassoWord, is_k_prefix_compatible, prefix_factorize
+from po2buchi.words import LassoWord
 
 
 def hand_machine() -> Po2Automaton:

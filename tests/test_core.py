@@ -177,13 +177,14 @@ def test_successor_lookups_match_transitions():
     for i in range(1500):
         a = random_raw_automaton(rng, ("a", "ab", "abc")[i % 3], max_states=7)
         expected = reference_successors(a)
+        choices = a._tables[1]
         for z in sorted(a.states):
             for c in sorted(a.alphabet) + [LEND]:
                 dsts = expected.get((z, c), set())
-                assert a.successors(z, c) == frozenset(dsts)
-                assert isinstance(a.successors(z, c), frozenset)
+                assert choices.get((z, c), frozenset()) == (dsts if len(dsts) > 1 else set())
                 if len(dsts) > 1:
                     several += 1
+                    assert isinstance(choices[z, c], frozenset)
                     with pytest.raises(ValueError, match="nondeterministic"):
                         a.det_successor(z, c)
                 else:

@@ -3,9 +3,10 @@
 Invariants are real checks, never ``assert`` statements, because running
 under ``python -O`` strips those.  The package imports nothing outside the
 standard library, so its runtime dependency list stays empty.  Every
-private module-level name is used somewhere in the package.  Every function
-the benchmark's tracer wraps still exists, so a traced run reports all its
-per-layer metrics.
+private module-level name is used somewhere in the package, and every public
+function or class serves the product: the package uses it, exports it, or the
+benchmark traces it.  Every function the benchmark's tracer wraps still
+exists, so a traced run reports all its per-layer metrics.
 """
 
 import ast
@@ -26,6 +27,20 @@ def parsed():
     assert SOURCES
     for path in SOURCES:
         yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def used_names(tree, imports: bool = True) -> set[str]:
+    """Names a module reads, attributes included, and, with ``imports``,
+    the names it imports from other modules."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and imports:
+            used.update(alias.name for alias in node.names)
+    return used
 
 
 def test_no_assert_statements():
@@ -72,23 +87,46 @@ def test_private_names_are_used():
             defined.update(
                 f"{name}:{t}" for t in targets if t.startswith("_") and not t.startswith("__")
             )
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+        used |= used_names(tree)
     assert sorted(d for d in defined if d.partition(":")[2] not in used) == []
 
 
-def test_traced_functions_exist():
+def load_tracing():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     if not path.is_file():
         pytest.skip("no perfbench/tracing.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_public_names_serve_the_product():
+    # A public function or class that only the tests call belongs next to
+    # the tests.  Importing a name into __init__ does not count as a use.
+    traced = {
+        f"{home}:{name}" for home, names in load_tracing().FUNCTIONS.values() for name in names
+    }
+    defined = []
+    used = set()
+    for name, tree in parsed():
+        module = name.removesuffix(".py")
+        defined += [
+            (module, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+        used |= used_names(tree, imports=module != "__init__")
+    idle = [
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in used and name not in po2buchi.__all__ and f"{module}:{name}" not in traced
+    ]
+    assert idle == []
+
+
+def test_traced_functions_exist():
+    tracing = load_tracing()
     missing = [
         f"{home}.{name}"
         for home, names in tracing.FUNCTIONS.values()

@@ -269,13 +269,13 @@ def brute_finite(segments, markers, word: str) -> bool:
 def run_acceptor(acc, word: str, end: str) -> bool:
     """Drive the acceptor over ``word + end``, checking region discipline."""
     w = LassoWord(word + end, end)
-    (init,) = acc.machine.initial
-    out = simulate_from(acc.machine, w, init, 1, collect_trace=True)
+    (init,) = acc.initial
+    out = simulate_from(acc, w, init, 1, collect_trace=True)
     for state, pos in out.trace:
         assert 0 <= pos <= len(word) + 2, (word, state, pos)
     outcome = out.trace[-1][0]
-    assert outcome in (acc.accept, acc.reject), (word, outcome, out.verdict)
-    return outcome == acc.accept
+    assert outcome in ("yes", "no"), (word, outcome, out.verdict)
+    return outcome == "yes"
 
 
 def test_finite_acceptor_single_segment_exhaustive():
@@ -307,7 +307,7 @@ SHAPES = [
 def test_finite_acceptor_shapes_vs_brute():
     for segments, markers in SHAPES:
         acc = finite_monomial_acceptor(segments, markers, "d", "abcd")
-        report = acc.machine.validate()
+        report = acc.validate()
         assert report.is_well_formed_po2 and report.is_deterministic
         for n in range(0, 7):
             for tup in itertools.product("abc", repeat=n):
@@ -531,6 +531,14 @@ def test_decompose_universal_single_state():
     assert automaton_to_polynomial(a) == [Monomial((), (), "ab")]
 
 
+def test_decompose_empty_alphabet():
+    # No letter, so no marker: the one skeleton is the empty one, and the
+    # run is never replayed.
+    for final, expected in (({"z"}, [Monomial((), (), frozenset())]), (set(), [])):
+        a = Po2Automaton("", {"z"}, set(), set(), {"z"}, final)
+        assert automaton_to_polynomial(a) == expected
+
+
 def test_decompose_showcase_machine():
     det = monomial_to_deterministic(SHOWCASE, alphabet="abc")
     poly = automaton_to_polynomial(det)
@@ -553,6 +561,11 @@ def test_decompose_showcase_machine():
         ("[a]*c.[c]*b.[]*b.[ac]w", ["[a]*c.[c]*b.[]*b.[ac]w"]),
         ("[c]*b.[ac]*b.[ac]*b.[c]w", ["[c]*b.[ac]*b.[ac]*b.[c]w"]),
         ("[ab]*a.[]*c.[c]w", ["[ab]*a.[]*c.[c]w"]),
+        # 36 states, chain 17: the largest machine whose emissions are pinned.
+        (
+            "[bc]*c.[]*a.[c]*a.[ab]w",
+            ["[bc]*b.[c]*c.[]*a.[c]*a.[ab]w", "[c]*c.[]*a.[c]*a.[ab]w"],
+        ),
     ],
 )
 def test_decompose_pinned_outputs(literal, expected):

@@ -9,6 +9,7 @@ from helpers import (
     random_lasso,
     random_nondet_automaton,
     reference_cross,
+    reference_successors,
     with_y_start,
 )
 from po2buchi.core import LEND, Po2Automaton, complete, ensure_x_initial
@@ -237,13 +238,14 @@ def brute_membership(a: Po2Automaton, w: LassoWord, horizon: int) -> bool:
         and a.is_x(z)
         and set(w.period) <= set(a.selfloop_letters(z))
     )
+    successors = reference_successors(a)
     seen = {(z, 1) for z in a.initial}
     queue = list(seen)
     while queue:
         z, i = queue.pop()
         if ok(z, i):
             return True
-        for nxt in a.successors(z, letter(i)):
+        for nxt in successors.get((z, letter(i)), ()):
             j = 1 if letter(i) == LEND else (i + 1 if a.is_x(nxt) else i - 1)
             if 0 <= j <= horizon and (nxt, j) not in seen:
                 seen.add((nxt, j))

@@ -4,17 +4,16 @@ import random
 
 import pytest
 
-from po2buchi.words import (
+from compat_oracle import (
     PREPEND,
     STRIP,
-    LassoWord,
     PrefixFactorization,
     compatibility_step,
     is_k_prefix_compatible,
     is_scattered_subword,
-    parse_lasso,
     prefix_factorize,
 )
+from po2buchi.words import LassoWord, parse_lasso
 
 
 def naive_factorize(w: str, v: str):
