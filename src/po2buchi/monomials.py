@@ -688,9 +688,18 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     segment cells.  No step uses Python recursion, so long chains need
     no deep Python stack.  A skeleton is extended only while its markers
     that saw no state change yet are no more than the state changes left
-    on the longest path to a final state.  The cost is still exponential
-    in the chain length: up to ``|alphabet|**(n - 1)`` skeletons for a
-    chain of n states.
+    on the longest path to a final state.
+
+    Skeletons are also cut by crossing behaviour (Shepherdson 1959).  Each
+    skeleton gets a key: its marker count, the X state it lands in, the
+    bitmask of validated markers, and for each Y state reachable from the
+    landed state the crossing of the last marker from that state, minus the
+    markers already validated.  What the skeleton emits, and whether
+    anything below it does, depends on the key alone; a key under which
+    nothing was emitted is remembered as dead, and every later skeleton
+    with that key is skipped with its subtree.  The output is unchanged,
+    but the cost is still exponential in the chain length in the worst
+    case: up to ``|alphabet|**(n - 1)`` skeletons for a chain of n states.
     """
     require(a, deterministic=True)
     a = ensure_x_initial(complete(a))
@@ -740,17 +749,39 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
                 raise RuntimeError(f"emitted monomial is not restricted: {mono}")
             found.add(mono)
 
+    # The cut on dead keys.  Below a skeleton with t markers that lands in z
+    # with the validated markers in mask, everything the walk reads is fixed
+    # by the skeleton's key:
+    # - the cap test reads t;
+    # - the below test and the emission test read z and the count of
+    #   unvalidated markers, which t and mask fix;
+    # - a later run only reaches states reachable from z, so it comes back
+    #   onto the last marker only in those Y states, and all it learns from
+    #   the markers up to there is that crossing: the X state it leaves in
+    #   and the markers it validates, less those already in mask.
+    # So a key under which neither the skeleton nor its subtree emitted
+    # stays dead.  Emissions are counted, not monomials found: a monomial
+    # depends on the marker letters too, so a subtree that emits only
+    # duplicates is not dead.
+    edges = a._change_edges
+    ys = a.y_states
+    later: dict[str, tuple[str, ...]] = {}  # Y states reachable from z
+    dead: set[tuple] = set()
+    emitted = 0
     if z0 in final:
         emit(z0, None)
     # One frame per skeleton on the path: its number of markers, its last
     # cell, the X state in which the run leaves it, the bitmask of markers
-    # that saw a state change, and the next letter to try.
-    frames = [[0, None, z0, 0, 0]]
+    # that saw a state change, the next letter to try, its key and the
+    # emissions counted before it.
+    frames = [[0, None, z0, 0, 0, None, 0]]
     while frames:
         frame = frames[-1]
-        t, cell, z, mask, i = frame
+        t, cell, z, mask, i, key, before = frame
         if i == len(letters) or t >= cap:
             frames.pop()
+            if emitted == before:
+                dead.add(key)
             continue
         frame[4] = i + 1
         cell = (t, letters[i], cell, {})
@@ -758,9 +789,26 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
         mask |= done
         pending = t + 1 - mask.bit_count()
         if pending <= below[landed]:
+            if landed not in later:
+                seen, todo = {landed}, [landed]
+                while todo:
+                    for d in edges[todo.pop()]:
+                        if d not in seen:
+                            seen.add(d)
+                            todo.append(d)
+                later[landed] = tuple(seen & ys)
+            key = [t + 1, landed, mask]
+            for y in later[landed]:
+                x, m = cross(cell, y)
+                key += x, m & ~mask
+            key = tuple(key)
+            if key in dead:
+                continue
+            before = emitted
             if pending == 0 and landed in final:
+                emitted += 1
                 emit(landed, cell)
-            frames.append([t + 1, cell, landed, mask, 0])
+            frames.append([t + 1, cell, landed, mask, 0, key, before])
     return sorted(found, key=str)
 
 

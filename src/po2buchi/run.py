@@ -124,8 +124,10 @@ def crosser(a: Po2Automaton) -> Callable[[tuple, str], tuple[str, int]]:
     changed state.  A Y state read off marker t reads marker t - 1 next, so
     it goes through t - 1's table, keyed by the state that reads it; a
     missing entry is filled first, with the crossing waiting on an explicit
-    stack, so deep crossings need no deep Python stack.  Only these nested
-    crossings are stored, so a table is keyed by Y states only.
+    stack, so deep crossings need no deep Python stack.  Every crossing is
+    stored in its marker's table, the outermost one too, so a caller that
+    crosses a marker from a Y state fills the entry that a later run
+    turning left onto that marker reads.
     """
     delta = a._tables[0]
     xs = a.x_states
@@ -145,9 +147,9 @@ def crosser(a: Po2Automaton) -> Callable[[tuple, str], tuple[str, int]]:
             if nxt != z:
                 mask |= 1 << t
             if nxt in xs:
+                cell[3][key] = nxt, mask
                 if not suspended:
                     return nxt, mask
-                cell[3][key] = nxt, mask
                 done = mask
                 cell, key, mask, reads = suspended.pop()
                 z = nxt

@@ -300,6 +300,17 @@ def test_to_monomials_on_a_long_chain(tmp_path):
     assert (code, out) == (0, "[]*a." * 1999 + "[a]w\n")
 
 
+def test_to_monomials_on_a_large_decomposition(tmp_path):
+    # 34 states over abc: the plain skeleton walk enters 1.3 M nodes here.
+    src = tmp_path / "m.po2"
+    literal = "[c]*b.[bc]*b.[c]*a.[bc]w"
+    assert run_cli(["from-monomial", literal, "--alphabet", "abc", "-o", str(src)])[0] == 0
+    code, out = run_cli(["to-monomials", str(src)])
+    assert (code, out) == (
+        0, "[c]*b.[bc]*b.[c]*b.[c]*a.[bc]w\n[c]*b.[c]*b.[c]*a.[bc]w\n"
+    )
+
+
 def test_internal_errors_exit_4(tmp_path, monkeypatch, capsys):
     def overflowing(args, out):
         raise RecursionError("maximum recursion depth exceeded")
