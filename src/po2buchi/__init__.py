@@ -15,6 +15,7 @@ from .core import (
     complete,
     disjoint_union,
     ensure_x_initial,
+    minimize,
     prune_unreachable,
     relabel,
     require,
@@ -78,6 +79,7 @@ __all__ = [
     "is_unambiguous_bounded",
     "is_universal",
     "membership_nondet",
+    "minimize",
     "monomial_from_joint_runs",
     "monomial_member",
     "monomial_to_automaton",

@@ -329,6 +329,51 @@ def complement(a: Po2Automaton) -> Po2Automaton:
     )
 
 
+def minimize(a: Po2Automaton) -> Po2Automaton:
+    """The bisimulation quotient of a deterministic machine.
+
+    Moore refinement (Moore 1956): states start in classes keyed by
+    polarity and finality, and each round splits them by their own class
+    and their successor's class on every letter and the tape start, "no
+    move" included, until the number of classes stops growing.  Each class
+    is named after its least state, so the result does not depend on the
+    hash seed.  The quotient copies every run step by step with the same
+    head moves, so it accepts the same lassos, is complete exactly when
+    ``a`` is, and stays acyclic: a path of distinct classes lifts to a path
+    of state changes in ``a``, so no chain gets longer.
+    """
+    require(a, deterministic=True)
+    delta = a._tables[0]
+    order = sorted(a.states)
+    at = {z: i for i, z in enumerate(order)}
+    none = len(order)  # the index of "no move", whose class is None
+    moves = [
+        [at.get(delta.get((z, c)), none) for c in (*sorted(a.alphabet), LEND)]
+        for z in order
+    ]
+    block: list = [(z in a.y_states, z in a.final) for z in order] + [None]
+    count = len(set(block)) - 1
+    while True:
+        ids: dict[tuple, int] = {}
+        block = [
+            ids.setdefault((block[i], *[block[j] for j in row]), len(ids))
+            for i, row in enumerate(moves)
+        ] + [None]
+        if len(ids) == count:
+            break
+        count = len(ids)
+    least: dict[int, str] = {}
+    name = {z: least.setdefault(block[i], z) for i, z in enumerate(order)}
+    return Po2Automaton(
+        a.alphabet,
+        {name[z] for z in a.x_states},
+        {name[z] for z in a.y_states},
+        {(name[s], c, name[d]) for s, c, d in a.transitions},
+        {name[z] for z in a.initial},
+        {name[z] for z in a.final},
+    )
+
+
 def chain_lengths(a: Po2Automaton) -> tuple[int, int]:
     """Longest chains in the self-loop-free transition graph.
 

@@ -24,6 +24,7 @@ from .core import (
     disjoint_union,
     ensure_x_initial,
     fresh_name,
+    minimize,
     prune_unreachable,
     relabel,
     require,
@@ -596,6 +597,13 @@ def monomial_to_deterministic(m: Monomial, alphabet=None) -> Po2Automaton:
     Requires restrictedness exactly and unambiguity up to a small bound;
     ambiguous inputs beyond the bound may still be detected during
     construction and raise as well.
+
+    The first-occurrence cases of the monomial are united by
+    :func:`boolean.product_union`, and every operand the product takes, an
+    intermediate product included, is quotiented by :func:`core.minimize`
+    first, so the product multiplies smaller machines.  With one case no
+    product is built and nothing is quotiented.  The product itself, as
+    ``po2 product`` runs it, quotients nothing.
     """
     alphabet = _ambient(m, alphabet)
     if not m.is_restricted():
@@ -629,7 +637,7 @@ def _det_build(m: Monomial, alphabet: frozenset[str]) -> Po2Automaton:
         _assemble_case(p_segs, p_marks, Monomial(q_segs, q_marks, m.tail), a, alphabet)
         for p_segs, p_marks, q_segs, q_marks in cases
     ]
-    return reduce(product_union, machines)
+    return reduce(lambda x, y: product_union(minimize(x), minimize(y)), machines)
 
 
 def _assemble_case(

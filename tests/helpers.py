@@ -179,6 +179,39 @@ def reference_chain_lengths(a: Po2Automaton) -> tuple[int, int]:
     return max(total.values(), default=0), max(xonly.values(), default=0)
 
 
+def reference_bisimulation(a: Po2Automaton) -> set[frozenset[str]]:
+    """The classes of the largest bisimulation on a deterministic machine,
+    as a greatest fixed point over state pairs, with no partition
+    refinement: start from every pair of states that agree on polarity and
+    finality, then drop pairs until no letter, the tape start included,
+    moves exactly one state of a kept pair or moves both to a dropped pair."""
+    successors = reference_successors(a)
+    states = sorted(a.states)
+    letters = sorted(a.alphabet) + [LEND]
+
+    def moves(z: str, c: str) -> str | None:
+        (d,) = successors.get((z, c), {None})
+        return d
+
+    kept = {
+        (p, q)
+        for p in states
+        for q in states
+        if (p in a.y_states) == (q in a.y_states) and (p in a.final) == (q in a.final)
+    }
+    dropped = True
+    while dropped:
+        dropped = False
+        for p, q in sorted(kept):
+            for c in letters:
+                dp, dq = moves(p, c), moves(q, c)
+                if (dp is None) != (dq is None) or (dp is not None and (dp, dq) not in kept):
+                    kept.discard((p, q))
+                    dropped = True
+                    break
+    return {frozenset(q for q in states if (p, q) in kept) for p in states}
+
+
 def reference_tracker_table(a: Po2Automaton, v: str) -> dict[tuple[str, int, str], tuple[str, int]]:
     """The tracker table as the first, whole-table implementation built it:
     the oracle for ``compat.tracker_step``."""

@@ -7,7 +7,7 @@ import pytest
 from helpers import random_det_automaton, random_lasso, reference_product
 from po2buchi import monomials
 from po2buchi.boolean import product_intersection, product_union
-from po2buchi.core import LEND, Po2Automaton, chain_lengths, complement, complete
+from po2buchi.core import LEND, Po2Automaton, chain_lengths, complement, complete, minimize
 from po2buchi.run import run_det
 
 # Monomials whose determinizations spend their time in the product.
@@ -182,4 +182,7 @@ def test_product_matches_reference_inside_determinization(monkeypatch, literal):
     monomials.monomial_to_deterministic(monomials.parse_monomial(literal), alphabet="abc")
     assert pairs
     for a, b in pairs:
+        # Determinization hands the product quotiented operands.
+        assert len(minimize(a).states) == len(a.states)
+        assert len(minimize(b).states) == len(b.states)
         assert_products_match_reference(a, b)

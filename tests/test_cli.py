@@ -382,6 +382,23 @@ def test_cycle_report_ignores_the_hash_seed(tmp_path):
     }
 
 
+def test_quotiented_determinization_ignores_the_hash_seed():
+    # Two first-occurrence cases, so the product takes quotiented operands.
+    package_root = str(Path(po2buchi.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("0", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=package_root)
+        proc = subprocess.run(
+            [sys.executable, "-m", "po2buchi.cli", "from-monomial",
+             "[c]*c.[a]*a.[]*b.[ab]w", "--alphabet", "abc"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert len(json.loads(outputs.pop())["states"]) == 1714
+
+
 def test_golden_transcript(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     expected = (DATA / "showcase_transcript.txt").read_text(encoding="utf-8")

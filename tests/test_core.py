@@ -9,11 +9,14 @@ import pytest
 import po2buchi
 from helpers import (
     random_det_automaton,
+    random_lasso,
     random_nondet_automaton,
     random_raw_automaton,
+    reference_bisimulation,
     reference_chain_lengths,
     reference_report,
     reference_successors,
+    with_y_start,
 )
 from po2buchi.cli import automaton_from_doc, automaton_to_doc
 from po2buchi.core import (
@@ -25,10 +28,12 @@ from po2buchi.core import (
     complete,
     disjoint_union,
     fresh_name,
+    minimize,
     prune_unreachable,
     relabel,
     require,
 )
+from po2buchi.run import run_det
 
 
 def two_state() -> Po2Automaton:
@@ -334,6 +339,56 @@ def test_chain_lengths_counts_x_states_on_one_path():
         set(),
     )
     assert chain_lengths(a) == (4, 2)
+
+
+def test_minimize_matches_reference_partition():
+    rng = random.Random(48)
+    merged = 0
+    for i in range(1500):
+        alphabet = rng.choice(["ab", "abc"])
+        whole = rng.random() < 0.5
+        a = random_det_automaton(rng, alphabet, rng.randint(2, 9), complete=whole)
+        if not whole:
+            # Without its marker edge a Y state can move like an X state;
+            # only polarity keeps the two apart.
+            a = Po2Automaton(
+                a.alphabet, a.x_states, a.y_states,
+                {t for t in a.transitions if t[1] != LEND or rng.random() < 0.5},
+                a.initial, a.final,
+            )
+        if i % 3 == 0:
+            a = with_y_start(rng, a)
+        q = minimize(a)
+        # The quotient the oracle's classes give, each named after its
+        # least state: the same classes and the same representatives.
+        classes = reference_bisimulation(a)
+        least = {z: min(c) for c in classes for z in c}
+        assert q == Po2Automaton(
+            a.alphabet,
+            {least[z] for z in a.x_states},
+            {least[z] for z in a.y_states},
+            {(least[s], c, least[d]) for s, c, d in a.transitions},
+            {least[z] for z in a.initial},
+            {least[z] for z in a.final},
+        )
+        merged += len(a.states) - len(q.states)
+        report = q.validate()
+        assert report.is_well_formed_po2 and report.is_deterministic
+        assert report.is_complete == a.validate().is_complete
+        assert minimize(q) == q
+        n, m = chain_lengths(q)
+        n0, m0 = chain_lengths(a)
+        assert n <= n0 and m <= m0
+        for _ in range(5):
+            w = random_lasso(rng, alphabet)
+            assert run_det(q, w).verdict == run_det(a, w).verdict, (a, str(w))
+    assert merged > 0
+
+
+def test_minimize_rejects_nondeterministic():
+    a = Po2Automaton("a", {"p", "q"}, set(), {("p", "a", "p"), ("p", "a", "q")}, {"p"}, set())
+    with pytest.raises(ValueError, match="deterministic"):
+        minimize(a)
 
 
 def test_prune_unreachable():

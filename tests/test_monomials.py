@@ -16,6 +16,7 @@ from helpers import (
     sample_from_monomial,
     with_y_start,
 )
+from po2buchi import monomials
 from po2buchi.core import LEND, Po2Automaton, chain_lengths, complete
 from po2buchi.monomials import (
     Monomial,
@@ -519,6 +520,36 @@ def test_deterministic_round_trip_random():
             want = monomial_member(m, w)
             assert (run_det(det, w).verdict == ACCEPTED) == want, (str(m), str(w))
         built += 1
+
+
+# The product-heavy monomials of test_boolean, and one whose cases make
+# a product of 13,422 states unquotiented, at their quotiented sizes.
+@pytest.mark.parametrize(
+    "literal, states",
+    [
+        ("[c]*c.[a]*a.[]*b.[ab]w", 1714),
+        ("[b]*b.[a]*a.[]*c.[a]w", 2056),
+        ("[a]*a.[b]*b.[]*c.[ab]w", 1458),
+        ("[a]*a.[c]*c.[]*b.[ab]w", 880),
+        ("[b]*b.[c]*c.[]*a.[a]w", 1336),
+        ("[a]*a.[b]*b.[a]*c.[c]w", 4423),
+    ],
+)
+def test_deterministic_quotients_product_operands(monkeypatch, literal, states):
+    m = parse_monomial(literal)
+    det = monomial_to_deterministic(m, alphabet="abc")
+    assert len(det.states) == states
+    report = det.validate()
+    assert report.is_well_formed_po2 and report.is_deterministic and report.is_complete
+    # The same build with every operand left as it is: reduce(product_union, ...).
+    monkeypatch.setattr(monomials, "minimize", lambda a: a)
+    raw = monomial_to_deterministic(m, alphabet="abc")
+    assert len(raw.states) > states
+    rng = random.Random(9005)
+    for i in range(40):
+        w = sample_from_monomial(rng, m) if i % 2 else random_lasso(rng, "abc")
+        want = monomial_member(m, w)
+        assert run_det(det, w).accepted == run_det(raw, w).accepted == want, str(w)
 
 
 # --- decomposition into monomials -------------------------------------------
