@@ -138,21 +138,16 @@ def is_unambiguous_bounded(m: Monomial, bound: int | None = None) -> LassoWord |
     bound", not a proof of unambiguity.
 
     The witness is the first one a scan of all pairs of placements in lex
-    order would meet: the lex-least placement that has a partner, its
-    lex-least partner, and at each position up to the later last marker
-    the least letter both allow.  Sweeps over positions ``1..bound`` find
-    it.  A sweep state ``(ta, tb, split)`` counts the markers each
-    placement has put down and says whether the two differ yet, and a
-    position takes a move of both when their letters there intersect.  A
-    forward sweep collects the reachable states; if none has both
-    placements complete and distinct at the end, the answer is None.
-    Otherwise a backward pass keeps the reachable states from which both
-    can still finish, and a greedy pass puts the first placement's markers
-    down as early as those allow, tracking every state its partner can be
-    in.  A second backward table, with those moves forced, guides the same
-    greedy pass for the partner.  Cost ``O(bound * (degree + 1)**2)``
-    table cells, where the scan tried up to ``C(bound, degree)**2 / 2``
-    pairs.
+    order would meet: the lex-least pair, and at each position up to the
+    later last marker the least letter both allow.  One forward sweep over
+    positions ``1..bound`` finds it.  A sweep state ``(ta, tb, split)``
+    counts the markers each placement has put down and says whether the
+    two differ yet, and a position takes a move of both when their letters
+    there intersect.  Each state keeps only the lex-least pair of
+    placements that reaches it: pairs reaching the same state have the
+    same continuations, so the least stays least.  Cost
+    ``O(bound * (degree + 1)**2)`` states, where the scan tried up to
+    ``C(bound, degree)**2 / 2`` pairs.
     """
     if bound is None:
         bound = m.degree + 5
@@ -173,71 +168,27 @@ def is_unambiguous_bounded(m: Monomial, bound: int | None = None) -> LassoWord |
         if both:
             fits[ta][tb][da, db] = both
 
-    # reach[p]: the states the sweep can be in after p positions.
-    reach = [{(0, 0, False)}]
+    # least[state]: the lex-least pair (pa, pb) reaching the state, each
+    # placement spelled with one bit per position, 0 where it puts down a
+    # marker, so that comparing integers compares placements in lex order;
+    # and the witness letters so far.
+    least = {(0, 0, False): (0, 0, "")}
     for _ in range(bound):
-        reach.append({
-            (ta + da, tb + db, split or da != db)
-            for ta, tb, split in reach[-1]
-            for da, db in fits[ta][tb]
-        })
-    if (k, k, True) not in reach[bound]:
+        step = {}
+        for (ta, tb, split), (pa, pb, word) in least.items():
+            for (da, db), both in fits[ta][tb].items():
+                state = ta + da, tb + db, split or da != db
+                pair = (
+                    2 * pa + 1 - da,
+                    2 * pb + 1 - db,
+                    word if ta == tb == k else word + min(both),
+                )
+                if state not in step or pair < step[state]:
+                    step[state] = pair
+        least = step
+    if (k, k, True) not in least:
         return None
-    # live[p]: the states in reach[p] from which both placements can still
-    # finish, distinct, within the bound.
-    live = [set() for _ in range(bound)] + [{(k, k, True)}]
-    for p in range(bound - 1, -1, -1):
-        for ta, tb, split in reach[p]:
-            if any(
-                (ta + da, tb + db, split or da != db) in live[p + 1]
-                for da, db in fits[ta][tb]
-            ):
-                live[p].add((ta, tb, split))
-
-    # The first placement, as (markers before, marker here) per position.
-    path = []
-    ta, partners = 0, {(0, False)}
-    for p in range(bound):
-        for da in (1, 0):
-            after = {
-                (tb + db, split or da != db)
-                for tb, split in partners
-                for ea, db in fits[ta][tb]
-                if ea == da and (ta + da, tb + db, split or da != db) in live[p + 1]
-            }
-            if after:
-                break
-        else:
-            raise RuntimeError("internal: the ambiguity sweep lost every partner")
-        path.append((ta, da))
-        ta, partners = ta + da, after
-
-    # forced[p]: the partner's states after p positions that can still
-    # finish, distinct, against the first placement's moves.
-    forced = [set() for _ in range(bound)] + [{(k, True)}]
-    for p in range(bound - 1, -1, -1):
-        ta, da = path[p]
-        for tb, split in product(range(k + 1), (False, True)):
-            if any(
-                ea == da and (tb + db, split or da != db) in forced[p + 1]
-                for ea, db in fits[ta][tb]
-            ):
-                forced[p].add((tb, split))
-
-    letters = []
-    tb, split = 0, False
-    for p, (ta, da) in enumerate(path):
-        if ta == tb == k:  # past the later last marker
-            break
-        for db in (1, 0):
-            both = fits[ta][tb].get((da, db))
-            if both and (tb + db, split or da != db) in forced[p + 1]:
-                break
-        else:
-            raise RuntimeError("internal: the ambiguity sweep lost the partner")
-        letters.append(min(both))
-        tb, split = tb + db, split or da != db
-    return LassoWord("".join(letters), min(m.tail))
+    return LassoWord(least[k, k, True][2], min(m.tail))
 
 
 def _ambient(m: Monomial, alphabet=None) -> frozenset[str]:
@@ -596,7 +547,8 @@ def monomial_to_deterministic(m: Monomial, alphabet=None) -> Po2Automaton:
 
     Requires restrictedness exactly and unambiguity up to a small bound;
     ambiguous inputs beyond the bound may still be detected during
-    construction and raise as well.
+    construction and raise as well.  An empty tail fits no infinite word
+    and gives the one rejecting state.
 
     The first-occurrence cases of the monomial are united by
     :func:`boolean.product_union`, and every operand the product takes, an
@@ -615,10 +567,10 @@ def monomial_to_deterministic(m: Monomial, alphabet=None) -> Po2Automaton:
 
 
 def _det_build(m: Monomial, alphabet: frozenset[str]) -> Po2Automaton:
+    if not m.tail:  # no infinite word fits
+        loops = {("dead", c, "dead") for c in alphabet}
+        return Po2Automaton(alphabet, {"dead"}, set(), loops, {"dead"}, set())
     if m.degree == 0:
-        if not m.tail:
-            loops = {("dead", c, "dead") for c in alphabet}
-            return Po2Automaton(alphabet, {"dead"}, set(), loops, {"dead"}, set())
         transitions = {("ok", c, "ok") for c in m.tail}
         transitions.update(("ok", c, "dead") for c in alphabet - m.tail)
         transitions.update(("dead", c, "dead") for c in alphabet)

@@ -54,10 +54,10 @@ def random_det_automaton(
             # Bias toward self-loops to get long stays in one state.
             j = i if rng.random() < 0.55 else rng.randint(i, n - 1)
             transitions.add((z, c, names[j]))
-        if z in ys:
+        # An incomplete machine may leave a Y state without its marker edge.
+        if z in ys and (complete or rng.random() >= 0.25):
             targets = [names[j] for j in range(i + 1, n) if names[j] in xs]
-            if targets or complete:
-                transitions.add((z, LEND, rng.choice(targets)))
+            transitions.add((z, LEND, rng.choice(targets)))
     final = {z for z in names if rng.random() < final_bias}
     return Po2Automaton(alphabet, xs, ys, transitions, {names[0]}, final)
 

@@ -399,6 +399,14 @@ def test_quotiented_determinization_ignores_the_hash_seed():
     assert len(json.loads(outputs.pop())["states"]) == 1714
 
 
+def test_from_monomial_with_an_empty_tail():
+    # Restricted, and its language is empty: one rejecting state, exit 0.
+    code, out = run_cli(["from-monomial", "[a]*b.[]*c.[ac]*a.[ac]*b.[]w"])
+    assert code == 0
+    states = json.loads(out)["states"]
+    assert states == [{"name": "dead", "polarity": "X", "initial": True, "final": False}]
+
+
 def test_golden_transcript(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     expected = (DATA / "showcase_transcript.txt").read_text(encoding="utf-8")

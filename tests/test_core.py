@@ -385,6 +385,19 @@ def test_minimize_matches_reference_partition():
     assert merged > 0
 
 
+def test_random_incomplete_machines_leave_y_states_without_marker_edges():
+    rng = random.Random(49)
+    bare = 0
+    for i in range(200):
+        whole = i % 2 == 0
+        a = random_det_automaton(rng, "ab", 6, complete=whole)
+        marked = {s for s, c, _ in a.transitions if c == LEND}
+        if whole:
+            assert a.y_states <= marked
+        bare += len(a.y_states - marked)
+    assert bare >= 10
+
+
 def test_minimize_rejects_nondeterministic():
     a = Po2Automaton("a", {"p", "q"}, set(), {("p", "a", "p"), ("p", "a", "q")}, {"p"}, set())
     with pytest.raises(ValueError, match="deterministic"):

@@ -18,6 +18,7 @@ from helpers import (
 )
 from po2buchi import monomials
 from po2buchi.core import LEND, Po2Automaton, chain_lengths, complete
+from po2buchi.decide import is_empty
 from po2buchi.monomials import (
     Monomial,
     automaton_to_polynomial,
@@ -493,6 +494,22 @@ def test_deterministic_degree_zero():
     assert run_det(det, LassoWord("a", "b")).verdict != ACCEPTED
     empty = monomial_to_deterministic(Monomial((), (), ""), alphabet="ab")
     assert run_det(empty, LassoWord("", "a")).verdict != ACCEPTED
+
+
+def test_deterministic_empty_tail_is_one_dead_state():
+    """An empty tail fits no infinite word: every restricted monomial with
+    one, ambiguous-looking prefix or not, builds the one rejecting state."""
+    m = parse_monomial("[a]*b.[]*c.[ac]*a.[ac]*b.[]w")
+    assert m.is_restricted() and is_unambiguous_bounded(m) is None
+    rng = random.Random(19)
+    monos = [m, parse_monomial("[b]*a.[]w")]
+    monos += [Monomial(r.segments, r.markers, "") for r in
+              (random_restricted_monomial(rng, max_degree=4) for _ in range(40))]
+    for m in monos:
+        det = monomial_to_deterministic(m, alphabet="abc")
+        assert det.states == {"dead"} and not det.final, str(m)
+        assert det.validate().is_complete
+        assert is_empty(det) is None
 
 
 def test_deterministic_rejects_bad_inputs():
