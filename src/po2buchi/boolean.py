@@ -20,18 +20,28 @@ from __future__ import annotations
 from typing import Callable
 
 from .compat import tracker_step
-from .core import LEND, Po2Automaton, chain_lengths, ensure_x_initial, require
+from .core import LEND, Po2Automaton, chain_lengths, ensure_x_initial, relabel, require
 
 _Key = tuple[int, str, str, str, int]  # (active, s1, s2, sig, k)
 
 
 def _product(
-    a: Po2Automaton, b: Po2Automaton, accept: Callable[[str, str], bool]
+    a: Po2Automaton, b: Po2Automaton, accept: Callable[[bool, bool], bool]
 ) -> Po2Automaton:
     require(a, deterministic=True, complete=True)
     require(b, deterministic=True, complete=True)
     if a.alphabet != b.alphabet:
         raise ValueError("product operands need the same alphabet")
+    # Key names join s1, s2 and the stack word with "|", and can be split
+    # back unless two of the three contain "|" themselves.  Only then is
+    # each operand with "|" in its names renamed (``z0``, ``z1``, ... in
+    # sorted order), so every other product keeps the operands' names.
+    bars = [any("|" in z for z in m.states) for m in (a, b)]
+    if sum(bars) + any("|" in c for c in a.alphabet) >= 2:
+        a, b = (
+            relabel(m, {z: f"z{i}" for i, z in enumerate(sorted(m.states))}) if bar else m
+            for m, bar in zip((a, b), bars)
+        )
     a = ensure_x_initial(a)
     b = ensure_x_initial(b)
     ops = {1: a, 2: b}
@@ -117,16 +127,20 @@ def _product(
         ys,
         transitions,
         {start},
-        {name for k, name in names.items() if not k[0] and accept(k[1], k[2])},
+        {
+            name
+            for k, name in names.items()
+            if not k[0] and accept(k[1] in a.final, k[2] in b.final)
+        },
     )
 
 
 def product_union(a: Po2Automaton, b: Po2Automaton) -> Po2Automaton:
     """Deterministic machine for the union of two lasso languages."""
-    return _product(a, b, lambda x1, x2: x1 in a.final or x2 in b.final)
+    return _product(a, b, lambda f1, f2: f1 or f2)
 
 
 def product_intersection(a: Po2Automaton, b: Po2Automaton) -> Po2Automaton:
     """Deterministic machine for the intersection of two lasso languages."""
-    return _product(a, b, lambda x1, x2: x1 in a.final and x2 in b.final)
+    return _product(a, b, lambda f1, f2: f1 and f2)
 

@@ -18,13 +18,17 @@ import json
 import sys
 from typing import TextIO
 
-from .boolean import product_intersection, product_union
-from .core import LEND, Po2Automaton, chain_lengths, complement, complete, require
-from .decide import BudgetExceeded, equivalent, includes, is_empty, is_universal
-from .monomials import automaton_to_polynomial, monomial_to_deterministic, parse_monomial
-from .run import ACCEPTED, membership_nondet, run_det
-from .satred import build_sat_automaton, parse_formula, sat_via_emptiness
-from .words import parse_lasso
+# Only the data model is loaded up front; each handler imports the modules
+# it uses, so a process loads no more than its subcommand needs.
+from .core import (
+    LEND,
+    BudgetExceeded,
+    Po2Automaton,
+    chain_lengths,
+    complement,
+    complete,
+    require,
+)
 
 
 def automaton_to_doc(a: Po2Automaton) -> dict:
@@ -139,6 +143,8 @@ def _cmd_complement(args, out: TextIO) -> int:
 
 
 def _cmd_product(args, out: TextIO) -> int:
+    from .boolean import product_intersection, product_union
+
     a = _load(args.left)
     b = _load(args.right)
     require(a, deterministic=True)
@@ -149,6 +155,9 @@ def _cmd_product(args, out: TextIO) -> int:
 
 
 def _cmd_run(args, out: TextIO) -> int:
+    from .run import ACCEPTED, run_det
+    from .words import parse_lasso
+
     a = _load(args.automaton)
     require(a, deterministic=True)
     outcome = run_det(a, parse_lasso(args.lasso))
@@ -158,6 +167,9 @@ def _cmd_run(args, out: TextIO) -> int:
 
 
 def _cmd_member(args, out: TextIO) -> int:
+    from .run import ACCEPTED, membership_nondet, run_det
+    from .words import parse_lasso
+
     a = _load(args.automaton)
     report = require(a)
     w = parse_lasso(args.lasso)
@@ -173,6 +185,8 @@ def _cmd_member(args, out: TextIO) -> int:
 
 
 def _cmd_empty(args, out: TextIO) -> int:
+    from .decide import is_empty
+
     a = _load(args.automaton)
     witness = is_empty(a, budget=args.budget)
     if witness is None:
@@ -183,6 +197,8 @@ def _cmd_empty(args, out: TextIO) -> int:
 
 
 def _cmd_includes(args, out: TextIO) -> int:
+    from .decide import includes
+
     a = _load(args.left)
     b = _load(args.right)
     witness = includes(a, b, budget=args.budget)
@@ -194,6 +210,8 @@ def _cmd_includes(args, out: TextIO) -> int:
 
 
 def _cmd_equiv(args, out: TextIO) -> int:
+    from .decide import equivalent
+
     a = _load(args.left)
     b = _load(args.right)
     verdict = equivalent(a, b, budget=args.budget)
@@ -207,6 +225,8 @@ def _cmd_equiv(args, out: TextIO) -> int:
 
 
 def _cmd_universal(args, out: TextIO) -> int:
+    from .decide import is_universal
+
     a = _load(args.automaton)
     witness = is_universal(a, budget=args.budget)
     if witness is None:
@@ -217,6 +237,8 @@ def _cmd_universal(args, out: TextIO) -> int:
 
 
 def _cmd_to_monomials(args, out: TextIO) -> int:
+    from .monomials import automaton_to_polynomial
+
     a = _load(args.automaton)
     for monomial in automaton_to_polynomial(a):
         print(monomial, file=out)
@@ -224,17 +246,23 @@ def _cmd_to_monomials(args, out: TextIO) -> int:
 
 
 def _cmd_from_monomial(args, out: TextIO) -> int:
+    from .monomials import monomial_to_deterministic, parse_monomial
+
     monomial = parse_monomial(args.monomial)
     _save(monomial_to_deterministic(monomial, alphabet=args.alphabet), args.output, out)
     return 0
 
 
 def _cmd_from_formula(args, out: TextIO) -> int:
+    from .satred import build_sat_automaton, parse_formula
+
     _save(build_sat_automaton(parse_formula(args.formula)), args.output, out)
     return 0
 
 
 def _cmd_sat(args, out: TextIO) -> int:
+    from .satred import parse_formula, sat_via_emptiness
+
     assignment = sat_via_emptiness(parse_formula(args.formula), budget=args.budget)
     if assignment is None:
         print("unsat", file=out)

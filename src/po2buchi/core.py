@@ -20,6 +20,14 @@ Transition = tuple[str, str, str]
 Key = tuple[str, str]  # (state, letter or LEND)
 
 
+class BudgetExceeded(Exception):
+    """Raised when a search would reach a candidate ranked past its budget.
+
+    Defined here rather than next to the searches in :mod:`po2buchi.decide`
+    so that the command line can catch it without importing them.
+    """
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     is_well_formed_po2: bool

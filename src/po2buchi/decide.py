@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    BudgetExceeded,
     Po2Automaton,
     chain_lengths,
     chains_to,
@@ -53,10 +54,6 @@ from .core import (
 )
 from .run import ACCEPTED, crosser, membership_nondet, run_det
 from .words import LassoWord
-
-
-class BudgetExceeded(Exception):
-    """Raised when a search would reach a candidate ranked past its budget."""
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,15 @@ import pytest
 from helpers import random_det_automaton, random_lasso, reference_product
 from po2buchi import monomials
 from po2buchi.boolean import product_intersection, product_union
-from po2buchi.core import LEND, Po2Automaton, chain_lengths, complement, complete, minimize
+from po2buchi.core import (
+    LEND,
+    Po2Automaton,
+    chain_lengths,
+    complement,
+    complete,
+    minimize,
+    relabel,
+)
 from po2buchi.run import run_det
 
 # Monomials whose determinizations spend their time in the product.
@@ -146,6 +154,49 @@ def test_union_intersection_idempotent_language():
             want = run_det(a, w).accepted
             assert run_det(u, w).accepted == want
             assert run_det(n, w).accepted == want
+
+
+# Odd state names: "|" is the separator inside product state names.
+BAR_NAMES = ["", "|", "||", "1", "1|", "|1", "|2|", "a", "s", "a1", "s|", "a|b", "0"]
+
+
+def test_product_names_stay_distinct_with_bars_in_names_and_letters():
+    rng = random.Random(5)
+    ambiguous = 0
+    for trial in range(200):
+        plain = [random_det_automaton(rng, "ab|", 4) for _ in range(2)]
+        a, b = (
+            relabel(m, dict(zip(sorted(m.states), rng.sample(BAR_NAMES, len(m.states)))))
+            for m in plain
+        )
+        bars = sum(any("|" in z for z in m.states) for m in (a, b))
+        ambiguous += bars >= 1
+        for build, combine in ((product_union, bool.__or__), (product_intersection, bool.__and__)):
+            p = build(a, b)
+            report = p.validate()
+            assert report.is_deterministic and report.is_complete, (trial, report.violations[:3])
+            # No two keys share a name: renaming the operands changes no size.
+            assert len(p.states) == len(build(*plain).states), trial
+            for _ in range(4):
+                w = random_lasso(rng, "ab|")
+                expected = combine(run_det(a, w).accepted, run_det(b, w).accepted)
+                assert run_det(p, w).accepted == expected, (trial, str(w))
+    # With "|" among the letters, one operand named with "|" makes names
+    # ambiguous unless renamed; nearly every pair here has one.
+    assert ambiguous > 150, ambiguous
+
+
+def test_product_keeps_names_when_one_part_has_bars():
+    # Only the letters, or only one operand's names, contain "|": the names
+    # can be split back, so they stay as the first-written product has them.
+    rng = random.Random(6)
+    for _ in range(40):
+        a = random_det_automaton(rng, "ab", 4)
+        b = random_det_automaton(rng, "ab", 4)
+        a = relabel(a, lambda z: f"|{z}|")
+        assert_products_match_reference(a, b)
+        assert_products_match_reference(b, a)
+        assert_products_match_reference(*(random_det_automaton(rng, "a|", 4) for _ in range(2)))
 
 
 def assert_products_match_reference(a: Po2Automaton, b: Po2Automaton) -> None:

@@ -46,11 +46,11 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return code, buffer.getvalue()
 
 
-def transcript(commands: list[list[str]]) -> str:
+def transcript(commands: list[list[str]], run=run_cli) -> str:
     lines: list[str] = []
     for argv in commands:
         lines.append("$ po2 " + " ".join(shlex.quote(arg) for arg in argv))
-        code, out = run_cli(argv)
+        code, out = run(argv)
         if out:
             lines.append(out.rstrip("\n"))
         if code != 0:
@@ -211,6 +211,31 @@ def test_product_and_decision_commands(tmp_path):
     assert code == 0
     code, out = run_cli(["equiv", str(comp), str(univ)])
     assert (code, out) == (0, "equivalent\n")
+
+
+def test_product_of_machines_with_bars_in_names_and_letters(tmp_path):
+    # Both operands' names and the letters contain "|", so product names
+    # built from them could not be told apart: this pair used to exit 4.
+    def doc(names, initial, edges):
+        return {
+            "alphabet": ["a", "b", "|"],
+            "states": [
+                {"name": z, "polarity": "X", "initial": z == initial, "final": False}
+                for z in names
+            ],
+            "transitions": [{"from": s, "letter": c, "to": d} for s, c, d in edges],
+        }
+
+    left, right = tmp_path / "left.po2", tmp_path / "right.po2"
+    write(left, doc([""], "", [("", c, "") for c in "ab|"]))
+    write(right, doc(["1", "1|"], "1|", [("1", "a", "1"), ("1", "b", "1"), ("1", "|", "1"),
+                                         ("1|", "a", "1"), ("1|", "b", "1|"), ("1|", "|", "1")]))
+    for op in ("union", "intersect"):
+        out = tmp_path / f"{op}.po2"
+        code, _ = run_cli(["product", "--op", op, str(left), str(right), "-o", str(out)])
+        assert code == 0
+        code, report = run_cli(["validate", str(out)])
+        assert (code, report) == (0, "well-formed: yes\ndeterministic: yes\ncomplete: yes\n")
 
 
 def test_member_handles_nondeterministic_machines(tmp_path):
@@ -411,3 +436,50 @@ def test_golden_transcript(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     expected = (DATA / "showcase_transcript.txt").read_text(encoding="utf-8")
     assert transcript(TRANSCRIPT_COMMANDS) == expected
+
+
+# What a fresh interpreter has loaded of the package after each transcript
+# subcommand: every handler imports only the modules it uses.
+COLD_MODULES = {
+    "from-monomial": {"boolean", "compat", "monomials", "run", "words"},
+    "validate": set(),
+    "stats": set(),
+    "member": {"run", "words"},
+    "run": {"run", "words"},
+    "empty": {"decide", "run", "words"},
+    "to-monomials": {"boolean", "compat", "monomials", "run", "words"},
+    "sat": {"decide", "run", "satred", "words"},
+}
+
+COLD_MAIN = """
+import sys
+from po2buchi import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+print(*sorted(m for m in sys.modules if m.partition(".")[0] == "po2buchi"), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_golden_transcript_in_fresh_processes(tmp_path):
+    package_root = str(Path(po2buchi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    loaded = {}
+
+    def run_cold(argv: list[str]) -> tuple[int, str]:
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_MAIN, *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        # The module list is the only line the transcript writes to stderr.
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        loaded.setdefault(argv[0], set()).add(proc.stderr.strip())
+        return proc.returncode, proc.stdout
+
+    expected = (DATA / "showcase_transcript.txt").read_text(encoding="utf-8")
+    assert transcript(TRANSCRIPT_COMMANDS, run=run_cold) == expected
+    base = {"po2buchi", "po2buchi.cli", "po2buchi.core"}
+    assert loaded == {
+        command: {" ".join(sorted(base | {f"po2buchi.{m}" for m in extra}))}
+        for command, extra in COLD_MODULES.items()
+    }
