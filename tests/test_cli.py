@@ -353,6 +353,32 @@ def test_internal_errors_exit_4(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: RuntimeError: internal: broken on purpose\n"
 
 
+def test_a_wrong_crossing_exits_4_not_1(tmp_path, monkeypatch, capsys):
+    # Crossings that end every run in the final state f claim the witness
+    # (a) for a machine that accepts only words with a b; the re-check by a
+    # run from the tape start turns that into an internal error.
+    from po2buchi import decide
+
+    doc = {
+        "alphabet": ["a", "b"],
+        "states": [
+            {"name": "s", "polarity": "X", "initial": True, "final": False},
+            {"name": "f", "polarity": "X", "initial": False, "final": True},
+        ],
+        "transitions": [
+            {"from": "s", "letter": "a", "to": "s"},
+            {"from": "s", "letter": "b", "to": "f"},
+            {"from": "f", "letter": "a", "to": "f"},
+            {"from": "f", "letter": "b", "to": "f"},
+        ],
+    }
+    write(tmp_path / "m.po2", doc)
+    assert run_cli(["empty", str(tmp_path / "m.po2")]) == (1, "nonempty, witness: (b)\n")
+    monkeypatch.setattr(decide, "crosser", lambda w: lambda cell, z: ("f", 0))
+    assert main(["empty", str(tmp_path / "m.po2")]) == 4
+    assert capsys.readouterr().err.startswith("internal error: RuntimeError: internal: ")
+
+
 def test_sat_on_a_deeply_nested_formula():
     code, out = run_cli(["sat", "(" * 300 + "v1" + ")" * 300])
     assert (code, out) == (0, "sat v1=1\n")

@@ -14,8 +14,17 @@ from helpers import (
     reference_is_empty,
     with_y_start,
 )
+from po2buchi import decide
 from po2buchi.boolean import product_union
-from po2buchi.core import LEND, Po2Automaton, chain_lengths, complement, complete, prune_unreachable
+from po2buchi.core import (
+    LEND,
+    Po2Automaton,
+    chain_lengths,
+    complement,
+    complete,
+    ensure_x_initial,
+    prune_unreachable,
+)
 from po2buchi.decide import BudgetExceeded, Witness, equivalent, includes, is_empty, is_universal
 from po2buchi.monomials import (
     automaton_to_polynomial,
@@ -23,7 +32,7 @@ from po2buchi.monomials import (
     monomial_to_deterministic,
     parse_monomial,
 )
-from po2buchi.run import ACCEPTED, membership_nondet, run_det
+from po2buchi.run import ACCEPTED, crosser, membership_nondet, run_det
 from po2buchi.satred import build_sat_automaton, parse_formula, sat_via_emptiness
 from po2buchi.words import LassoWord
 
@@ -466,3 +475,76 @@ def test_negative_budgets_are_rejected():
             call(-5)
         with pytest.raises(BudgetExceeded, match="more than 0 membership tests"):
             call(0)
+
+
+def settled_verdicts(a: Po2Automaton, max_len: int):
+    """Each candidate up to spoke length ``max_len`` with its verdict as the
+    trie search settles it from the crossing tables and run_det's verdict
+    from the tape start."""
+    w = ensure_x_initial(complete(a))
+    cross, delta, limit = crosser(w), w._tables[0], len(w.states)
+    letters = sorted(a.alphabet)
+    stack = [("", None, next(iter(w.initial)))]
+    while stack:
+        spoke, cell, z = stack.pop()
+        for c in letters:
+            child = (len(spoke), c, cell, {})
+            zc = cross(child, z)[0]
+            settled = decide._settle(cross, delta, child, zc, limit) in w.final
+            yield Witness(spoke, c), settled, run_det(a, LassoWord(spoke, c)).verdict == ACCEPTED
+            if len(spoke) < max_len:
+                stack.append((spoke + c, child, zc))
+
+
+def test_crossing_settled_verdicts_match_runs_from_the_tape_start():
+    rng = random.Random(2101)
+    machines = []
+    for trial in range(1500):
+        alphabet = "ab" if trial % 2 else "abc"
+        a = random_det_automaton(rng, alphabet, 9, complete=rng.random() < 0.5)
+        machines.append((with_y_start(rng, a) if rng.random() < 0.3 else a, 5))
+    # Formula machines and determinized monomials run far back over longer
+    # spokes.
+    for text in UNSAT_FORMULAS + SAT_FORMULAS:
+        machines.append((build_sat_automaton(parse_formula(text)), 8))
+    for text in ("[ab]*a.[]*c.[c]w", "[c]*b.[bc]*b.[c]*a.[bc]w", "[b]*a.[a]*b.[ab]w"):
+        a = monomial_to_deterministic(parse_monomial(text))
+        machines.append((a, 8 if len(a.alphabet) == 2 else 6))
+    accepted = candidates = 0
+    for i, (a, max_len) in enumerate(machines):
+        for cand, settled, ran in settled_verdicts(a, max_len):
+            assert settled == ran, (i, cand)
+            accepted += ran
+            candidates += 1
+    assert candidates > 900_000 and 0.1 < accepted / candidates < 0.9
+
+
+def mostly_a_then_b() -> Po2Automaton:
+    """Accepts a* b (a|b)^w: the first b moves s to the final f for good."""
+    t = {("s", "a", "s"), ("s", "b", "f"), ("f", "a", "f"), ("f", "b", "f")}
+    return Po2Automaton("ab", {"s", "f"}, set(), t, {"s"}, {"f"})
+
+
+def lying_crosser(report):
+    """A stand-in for run.crosser whose crossings of the machine that has a
+    state ``f`` end in ``report(z)`` instead of the true X state."""
+
+    def make(w):
+        cross = crosser(w)
+        if "f" not in w.states:
+            return cross
+        return lambda cell, z: (report(z), cross(cell, z)[1])
+
+    return make
+
+
+@pytest.mark.parametrize("report", [lambda z: "f", lambda z: z], ids=["final", "stuck"])
+def test_a_wrong_crossing_is_an_internal_error(report, monkeypatch):
+    # "final" settles (a) as a witness that a run from the tape start
+    # rejects; "stuck" never lets the run on b^w leave s.
+    m = mostly_a_then_b()
+    assert is_empty(m) == Witness("", "b") == includes(m, empty_machine())
+    monkeypatch.setattr(decide, "crosser", lying_crosser(report))
+    for call in (lambda: is_empty(m), lambda: includes(m, empty_machine())):
+        with pytest.raises(RuntimeError, match="^internal: "):
+            call()
