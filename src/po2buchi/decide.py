@@ -45,11 +45,10 @@ in that order would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     BudgetExceeded,
     Po2Automaton,
+    _Value,
     chain_lengths,
     chains_to,
     complement,
@@ -61,12 +60,17 @@ from .run import ACCEPTED, crosser, membership_nondet, run_det
 from .words import LassoWord
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Value):
     """An ultimately constant lasso ``spoke . letter^w`` certifying an answer."""
+
+    _fields = ("spoke", "letter")
 
     spoke: str
     letter: str
+
+    def __init__(self, spoke: str, letter: str) -> None:
+        object.__setattr__(self, "spoke", spoke)
+        object.__setattr__(self, "letter", letter)
 
     def word(self) -> LassoWord:
         return LassoWord(self.spoke, self.letter)

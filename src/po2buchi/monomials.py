@@ -10,7 +10,6 @@ monomials and partially ordered two-way machines in both directions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 
@@ -18,6 +17,7 @@ from .boolean import product_union
 from .core import (
     LEND,
     Po2Automaton,
+    _Value,
     chain_lengths,
     chains_to,
     complete,
@@ -33,9 +33,10 @@ from .run import crosser, run_det
 from .words import LassoWord
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Value):
     """Degree-k chain of (segment alphabet, marker letter) pairs plus a tail."""
+
+    _fields = ("segments", "markers", "tail")
 
     segments: tuple[frozenset[str], ...]
     markers: tuple[str, ...]

@@ -10,10 +10,9 @@ stationary state); the word is accepted when that state is final.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import LEND, Po2Automaton
+from .core import LEND, Po2Automaton, _Value
 from .words import LassoWord
 
 ACCEPTED = "accepted"
@@ -21,13 +20,28 @@ REJECTED = "rejected"
 STUCK = "stuck"
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(_Value):
+    _fields = ("verdict", "stationary_state", "steps", "state_changes", "trace")
+
     verdict: str
     stationary_state: str | None
     steps: int
     state_changes: tuple[tuple[int, str, str, str], ...]
-    trace: tuple[tuple[str, int], ...] | None = field(default=None)
+    trace: tuple[tuple[str, int], ...] | None
+
+    def __init__(
+        self,
+        verdict: str,
+        stationary_state: str | None,
+        steps: int,
+        state_changes: tuple[tuple[int, str, str, str], ...],
+        trace: tuple[tuple[str, int], ...] | None = None,
+    ) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "stationary_state", stationary_state)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "state_changes", state_changes)
+        object.__setattr__(self, "trace", trace)
 
     @property
     def accepted(self) -> bool:

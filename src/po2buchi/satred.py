@@ -9,38 +9,52 @@ adversarial generator for the decision procedures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import LEND, Po2Automaton
+from .core import LEND, Po2Automaton, _Value
 from .decide import is_empty
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Value):
     """A propositional variable; indices start at 1."""
+
+    _fields = ("index",)
 
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"variable index must be at least 1, got {self.index}")
+    def __init__(self, index: int) -> None:
+        if index < 1:
+            raise ValueError(f"variable index must be at least 1, got {index}")
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(_Value):
+    _fields = ("child",)
+
     child: "PropFormula"
 
+    def __init__(self, child: "PropFormula") -> None:
+        object.__setattr__(self, "child", child)
 
-@dataclass(frozen=True)
-class And:
+
+class And(_Value):
+    _fields = ("left", "right")
+
     left: "PropFormula"
     right: "PropFormula"
 
+    def __init__(self, left: "PropFormula", right: "PropFormula") -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
-class Or:
+
+class Or(_Value):
+    _fields = ("left", "right")
+
     left: "PropFormula"
     right: "PropFormula"
+
+    def __init__(self, left: "PropFormula", right: "PropFormula") -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 PropFormula = Var | Not | And | Or

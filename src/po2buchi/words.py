@@ -9,10 +9,9 @@ package only ever need witnesses of that shape.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
-@dataclass(frozen=True)
+
 class LassoWord:
     """An ultimately periodic infinite word ``spoke . period^w``.
 
@@ -20,14 +19,36 @@ class LassoWord:
     denote the same infinite word but are distinct values.  Semantic
     operations (membership, monomial matching) must not depend on the chosen
     representation; tests pin that down.
+
+    A frozen value like ``core._Value``, written out here so that parsing a
+    lasso word loads no other module of the package.
     """
 
     spoke: str
     period: str
 
-    def __post_init__(self) -> None:
-        if not self.period:
+    def __init__(self, spoke: str, period: str) -> None:
+        if not period:
             raise ValueError("lasso word needs a nonempty period")
+        object.__setattr__(self, "spoke", spoke)
+        object.__setattr__(self, "period", period)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.spoke, self.period) == (other.spoke, other.period)
+
+    def __hash__(self) -> int:
+        return hash((self.spoke, self.period))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(spoke={self.spoke!r}, period={self.period!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def letter_at(self, i: int) -> str:
         """Letter at 1-based position ``i``."""

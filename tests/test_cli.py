@@ -477,35 +477,74 @@ COLD_MODULES = {
     "sat": {"decide", "run", "satred", "words"},
 }
 
+# Standard-library modules too slow to import for a short process:
+# dataclasses imports inspect, and inspect imports dis, ast and tokenize.
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
 COLD_MAIN = """
 import sys
 from po2buchi import cli
 code = cli.main(sys.argv[1:])
 sys.stdout.flush()
-print(*sorted(m for m in sys.modules if m.partition(".")[0] == "po2buchi"), file=sys.stderr)
+print(*sorted(sys.modules), file=sys.stderr)
 sys.exit(code)
 """
 
 
-def test_golden_transcript_in_fresh_processes(tmp_path):
+def fresh_env() -> dict[str, str]:
     package_root = str(Path(po2buchi.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=package_root)
-    loaded = {}
+    return dict(os.environ, PYTHONPATH=package_root)
+
+
+def fresh_modules(code: str) -> set[str]:
+    """The modules a new interpreter has loaded after running ``code``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True, text=True, env=fresh_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.fixture(scope="module")
+def cold_transcript(tmp_path_factory):
+    """The transcript with each subcommand run in a new interpreter, and for
+    each subcommand the module sets its interpreters had loaded at exit."""
+    cwd = tmp_path_factory.mktemp("cold")
+    loaded: dict[str, set[frozenset[str]]] = {}
 
     def run_cold(argv: list[str]) -> tuple[int, str]:
         proc = subprocess.run(
             [sys.executable, "-c", COLD_MAIN, *argv],
-            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+            capture_output=True, text=True, env=fresh_env(), cwd=cwd, timeout=120,
         )
         # The module list is the only line the transcript writes to stderr.
         assert proc.stderr.count("\n") == 1, proc.stderr
-        loaded.setdefault(argv[0], set()).add(proc.stderr.strip())
+        loaded.setdefault(argv[0], set()).add(frozenset(proc.stderr.split()))
         return proc.returncode, proc.stdout
 
-    expected = (DATA / "showcase_transcript.txt").read_text(encoding="utf-8")
-    assert transcript(TRANSCRIPT_COMMANDS, run=run_cold) == expected
+    return transcript(TRANSCRIPT_COMMANDS, run=run_cold), loaded
+
+
+def test_golden_transcript_in_fresh_processes(cold_transcript):
+    text, loaded = cold_transcript
+    assert text == (DATA / "showcase_transcript.txt").read_text(encoding="utf-8")
     base = {"po2buchi", "po2buchi.cli", "po2buchi.core"}
-    assert loaded == {
-        command: {" ".join(sorted(base | {f"po2buchi.{m}" for m in extra}))}
+    assert {
+        command: {frozenset(m for m in run if m.partition(".")[0] == "po2buchi") for run in runs}
+        for command, runs in loaded.items()
+    } == {
+        command: {frozenset(base | {f"po2buchi.{m}" for m in extra})}
         for command, extra in COLD_MODULES.items()
     }
+
+
+def test_no_subcommand_or_public_name_loads_inspect(cold_transcript):
+    slow = SLOW_IMPORTS - fresh_modules("pass")
+    _, loaded = cold_transcript
+    assert {command: slow & set().union(*runs) for command, runs in loaded.items()} == {
+        command: set() for command in COLD_MODULES
+    }
+    public = fresh_modules("import po2buchi\nfor n in po2buchi.__all__: getattr(po2buchi, n)")
+    assert public >= {f"po2buchi.{m}" for extra in COLD_MODULES.values() for m in extra}
+    assert slow & public == set()

@@ -1,6 +1,8 @@
 """Data-model guarantees: validation verdicts, completion, complement, chains."""
 
 import ast
+import copy
+import pickle
 import random
 from graphlib import CycleError
 
@@ -22,6 +24,7 @@ from po2buchi.cli import automaton_from_doc, automaton_to_doc
 from po2buchi.core import (
     LEND,
     Po2Automaton,
+    ValidationReport,
     chain_lengths,
     chains_to,
     complement,
@@ -33,7 +36,11 @@ from po2buchi.core import (
     relabel,
     require,
 )
-from po2buchi.run import run_det
+from po2buchi.decide import Witness
+from po2buchi.monomials import Monomial
+from po2buchi.run import RunOutcome, run_det
+from po2buchi.satred import And, Not, Or, Var
+from po2buchi.words import LassoWord
 
 
 def two_state() -> Po2Automaton:
@@ -453,3 +460,56 @@ def test_hashable_and_structural_equality():
     assert len({a1, a2}) == 1
     _ = a1._tables  # warming caches must not affect equality
     assert a1 == a2 and hash(a1) == hash(a2)
+
+
+def test_values_are_frozen_with_structural_equality():
+    x, y = Var(1), Not(Var(2))
+    # a maker of each value class, and its fields in declaration order
+    values = [
+        (lambda: ValidationReport(True, False, True, ("v",)),
+         ("is_well_formed_po2", "is_deterministic", "is_complete", "violations")),
+        (two_state, ("alphabet", "x_states", "y_states", "transitions", "initial", "final")),
+        (lambda: LassoWord("ab", "c"), ("spoke", "period")),
+        (lambda: RunOutcome("accepted", "q", 3, ((1, "p", "a", "q"),), (("q", 1),)),
+         ("verdict", "stationary_state", "steps", "state_changes", "trace")),
+        (lambda: Witness("ab", "c"), ("spoke", "letter")),
+        (lambda: Monomial((frozenset("ab"),), ("c",), frozenset("a")),
+         ("segments", "markers", "tail")),
+        (lambda: Var(3), ("index",)),
+        (lambda: Not(x), ("child",)),
+        (lambda: And(x, y), ("left", "right")),
+        (lambda: Or(x, y), ("left", "right")),
+    ]
+    for make, fields in values:
+        v, w = make(), make()
+        key = tuple(getattr(v, f) for f in fields)
+        assert v == w and not v != w and hash(v) == hash(w) == hash(key)
+        assert not isinstance(v, tuple) and v != key
+        assert v.__eq__(object()) is NotImplemented
+        args = ", ".join(f"{f}={getattr(v, f)!r}" for f in fields)
+        assert repr(v) == f"{type(v).__name__}({args})"
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(v, f, None)
+            with pytest.raises(AttributeError):
+                delattr(v, f)
+        with pytest.raises(AttributeError):
+            v.unknown = None
+        assert v == w and hash(v) == hash(key)
+        for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert twin == v and hash(twin) == hash(v) and type(twin) is type(v)
+
+    assert And(x, y) != Or(x, y) and Not(Var(1)) != Var(1)
+    assert Witness("ab", "c") != LassoWord("ab", "c")
+    assert len({And(x, y), Or(x, y), And(x, y)}) == 2
+    assert repr(And(x, y)) == "And(left=Var(index=1), right=Not(child=Var(index=2)))"
+    assert repr(LassoWord("", "a")) == "LassoWord(spoke='', period='a')"
+    assert ValidationReport(True, True, False).violations == ()
+    assert ValidationReport(False, True, True) == ValidationReport(
+        is_complete=True, is_deterministic=True, is_well_formed_po2=False, violations=()
+    )
+    assert RunOutcome("stuck", None, 0, ()).trace is None
+    assert LassoWord(spoke="a", period="b") == LassoWord("a", "b")
+    for bad in (lambda: Var(0), lambda: LassoWord("a", "")):
+        with pytest.raises(ValueError):
+            bad()
