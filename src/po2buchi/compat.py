@@ -13,11 +13,15 @@ transition: it is exactly the moment the head crosses back over the
 factored position.
 
 The tracker is a closed-form step, :func:`tracker_step`, computed from one
-successor lookup and the marker word; the product calls it directly.
-:func:`tracker_table` spells the same steps out as a whole table.  The
-calculus itself and the tracker as a machine of its own live with the
-tests (``tests/compat_oracle.py``), which check the closed form against
-them.
+successor lookup and the marker word.  :func:`tracker_table` spells the
+same steps out as a whole table.  This module is the reference for the
+product in :mod:`po2buchi.boolean`, which evaluates the same closed form
+inline over per-state successor rows and does not import it: the tests
+check the product against a reference product built on
+:func:`tracker_step`.  The module stays in the package only because the
+benchmark's tracer names :func:`tracker_table`.  The calculus itself and
+the tracker as a machine of its own live with the tests
+(``tests/compat_oracle.py``), which check the closed form against them.
 """
 
 from __future__ import annotations

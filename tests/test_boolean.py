@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import random_det_automaton, random_lasso, reference_product
-from po2buchi import monomials
+from po2buchi import boolean, monomials
 from po2buchi.boolean import product_intersection, product_union
 from po2buchi.core import (
     LEND,
@@ -56,6 +56,28 @@ def test_product_checks_preconditions():
     other = random_det_automaton(random.Random(2), "abc", 4)
     with pytest.raises(ValueError):
         product_union(a, other)
+
+
+def chain_machine() -> Po2Automaton:
+    """Accepts lassos with a b: one state change, so products push."""
+    return Po2Automaton(
+        "ab",
+        {"s", "f"},
+        set(),
+        {("s", "a", "s"), ("s", "b", "f"), ("f", "a", "f"), ("f", "b", "f")},
+        {"s"},
+        {"f"},
+    )
+
+
+def test_product_stack_guard_is_a_real_check(monkeypatch):
+    # With the stack bound shrunk to 0, the first push trips the guard; an
+    # assert would vanish under python -O.
+    a = chain_machine()
+    assert len(product_union(a, a).states) > 1
+    monkeypatch.setattr(boolean, "chain_lengths", lambda m: (1, 1))
+    with pytest.raises(RuntimeError, match="^internal: stack outgrew"):
+        product_union(a, a)
 
 
 def test_products_agree_with_operands():
@@ -209,7 +231,8 @@ def assert_products_match_reference(a: Po2Automaton, b: Po2Automaton) -> None:
 
 def test_product_matches_reference_on_random_pairs():
     rng = random.Random(46)
-    for alphabet in ("ab", "abc"):
+    # Four letters: the product reads successors by letter position.
+    for alphabet in ("ab", "abc", "abcd"):
         for _ in range(100):
             a = random_det_automaton(rng, alphabet, 6)
             b = random_det_automaton(rng, alphabet, 6)

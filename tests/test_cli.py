@@ -73,6 +73,23 @@ def universal_doc() -> dict:
     }
 
 
+def chain_doc() -> dict:
+    """Accepts the lassos with a b: s moves to the final state f on b."""
+    return {
+        "alphabet": ["a", "b"],
+        "states": [
+            {"name": "s", "polarity": "X", "initial": True, "final": False},
+            {"name": "f", "polarity": "X", "initial": False, "final": True},
+        ],
+        "transitions": [
+            {"from": "s", "letter": "a", "to": "s"},
+            {"from": "s", "letter": "b", "to": "f"},
+            {"from": "f", "letter": "a", "to": "f"},
+            {"from": "f", "letter": "b", "to": "f"},
+        ],
+    }
+
+
 def empty_doc() -> dict:
     doc = universal_doc()
     doc["states"][0]["final"] = False
@@ -353,26 +370,29 @@ def test_internal_errors_exit_4(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: RuntimeError: internal: broken on purpose\n"
 
 
+def test_a_product_over_its_stack_bound_exits_4_not_1(tmp_path, monkeypatch, capsys):
+    from po2buchi import boolean
+
+    # The product of a machine with one state change pushes a letter, so a
+    # stack bound shrunk to 0 trips the product's own guard.
+    src, out = tmp_path / "m.po2", tmp_path / "p.po2"
+    write(src, chain_doc())
+    argv = ["product", "--op", "union", str(src), str(src), "-o", str(out)]
+    assert run_cli(argv)[0] == 0
+    monkeypatch.setattr(boolean, "chain_lengths", lambda m: (1, 1))
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith(
+        "internal error: RuntimeError: internal: stack outgrew"
+    )
+
+
 def test_a_wrong_crossing_exits_4_not_1(tmp_path, monkeypatch, capsys):
     # Crossings that end every run in the final state f claim the witness
     # (a) for a machine that accepts only words with a b; the re-check by a
     # run from the tape start turns that into an internal error.
     from po2buchi import decide
 
-    doc = {
-        "alphabet": ["a", "b"],
-        "states": [
-            {"name": "s", "polarity": "X", "initial": True, "final": False},
-            {"name": "f", "polarity": "X", "initial": False, "final": True},
-        ],
-        "transitions": [
-            {"from": "s", "letter": "a", "to": "s"},
-            {"from": "s", "letter": "b", "to": "f"},
-            {"from": "f", "letter": "a", "to": "f"},
-            {"from": "f", "letter": "b", "to": "f"},
-        ],
-    }
-    write(tmp_path / "m.po2", doc)
+    write(tmp_path / "m.po2", chain_doc())
     assert run_cli(["empty", str(tmp_path / "m.po2")]) == (1, "nonempty, witness: (b)\n")
     monkeypatch.setattr(decide, "crosser", lambda w: lambda cell, z: ("f", 0))
     assert main(["empty", str(tmp_path / "m.po2")]) == 4
@@ -467,13 +487,13 @@ def test_golden_transcript(tmp_path, monkeypatch):
 # What a fresh interpreter has loaded of the package after each transcript
 # subcommand: every handler imports only the modules it uses.
 COLD_MODULES = {
-    "from-monomial": {"boolean", "compat", "monomials", "run", "words"},
+    "from-monomial": {"boolean", "monomials", "run", "words"},
     "validate": set(),
     "stats": set(),
     "member": {"run", "words"},
     "run": {"run", "words"},
     "empty": {"decide", "run", "words"},
-    "to-monomials": {"boolean", "compat", "monomials", "run", "words"},
+    "to-monomials": {"boolean", "monomials", "run", "words"},
     "sat": {"decide", "run", "satred", "words"},
 }
 
