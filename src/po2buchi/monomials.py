@@ -653,14 +653,19 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
 
     Skeletons are also cut by crossing behaviour (Shepherdson 1959).  Each
     skeleton gets a key: its marker count, the X state it lands in, the
-    bitmask of validated markers, and for each Y state reachable from the
-    landed state the crossing of the last marker from that state, minus the
-    markers already validated.  What the skeleton emits, and whether
-    anything below it does, depends on the key alone; a key under which
-    nothing was emitted is remembered as dead, and every later skeleton
-    with that key is skipped with its subtree.  The output is unchanged,
-    but the cost is still exponential in the chain length in the worst
-    case: up to ``|alphabet|**(n - 1)`` skeletons for a chain of n states.
+    count of its markers that saw no state change yet, and for each Y state
+    reachable from the landed state the crossing of the last marker from
+    that state: the X state it leaves in and the unvalidated markers it
+    validates, renumbered 0, 1, 2, ... in position order over the markers
+    that some crossing of the key names.  What the skeleton emits, and
+    whether anything below it does, depends on the key alone: a union of
+    crossings has the same size under any one-to-one renumbering, and an
+    unvalidated marker that no crossing names is never validated below.  A
+    key under which nothing was emitted is remembered as dead, and every
+    later skeleton with that key is skipped with its subtree.  The output
+    is unchanged, but the cost is still exponential in the chain length in
+    the worst case: up to ``|alphabet|**(n - 1)`` skeletons for a chain of
+    n states.
     """
     require(a, deterministic=True)
     a = ensure_x_initial(complete(a))
@@ -711,19 +716,26 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
             found.add(mono)
 
     # The cut on dead keys.  Below a skeleton with t markers that lands in z
-    # with the validated markers in mask, everything the walk reads is fixed
-    # by the skeleton's key:
+    # with the validated markers in mask and pending markers unvalidated,
+    # everything the walk reads is fixed by the skeleton's key:
     # - the cap test reads t;
-    # - the below test and the emission test read z and the count of
-    #   unvalidated markers, which t and mask fix;
+    # - the below test and the emission test read z and a later skeleton's
+    #   count of unvalidated markers;
     # - a later run only reaches states reachable from z, so it comes back
     #   onto the last marker only in those Y states, and all it learns from
     #   the markers up to there is that crossing: the X state it leaves in
     #   and the markers it validates, less those already in mask.
-    # So a key under which neither the skeleton nor its subtree emitted
-    # stays dead.  Emissions are counted, not monomials found: a monomial
-    # depends on the marker letters too, so a subtree that emits only
-    # duplicates is not dead.
+    # A later skeleton's count is pending plus its new markers, less those
+    # of them that saw a change and less the size of the union of the
+    # crossings its runs went through.  Which markers a crossing names
+    # matters only through those union sizes, and a one-to-one renumbering
+    # of the named markers keeps every one of them; so the key holds the
+    # crossings' masks ranked, and pending in place of mask.  An
+    # unvalidated marker that no crossing names is never validated below,
+    # so it only counts in pending.  So a key under which neither the
+    # skeleton nor its subtree emitted stays dead.  Emissions are counted,
+    # not monomials found: a monomial depends on the marker letters too, so
+    # a subtree that emits only duplicates is not dead.
     edges = a._change_edges
     ys = a.y_states
     later: dict[str, tuple[str, ...]] = {}  # Y states reachable from z
@@ -758,10 +770,29 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
                             seen.add(d)
                             todo.append(d)
                 later[landed] = tuple(seen & ys)
-            key = [t + 1, landed, mask]
+            key = [t + 1, landed, pending]
+            named = 0
             for y in later[landed]:
                 x, m = cross(cell, y)
-                key += x, m & ~mask
+                m &= ~mask
+                named |= m
+                key += x, m
+            if named:
+                # Marker j's bit becomes bit r when j is the r-th named
+                # marker, counting from 0 in position order.
+                rank, bit = {}, 1
+                while named:
+                    low = named & -named
+                    rank[low] = bit
+                    bit <<= 1
+                    named ^= low
+                for k in range(4, len(key), 2):
+                    m, r = key[k], 0
+                    while m:
+                        low = m & -m
+                        r |= rank[low]
+                        m ^= low
+                    key[k] = r
             key = tuple(key)
             if key in dead:
                 continue

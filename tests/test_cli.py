@@ -353,6 +353,18 @@ def test_to_monomials_on_a_large_decomposition(tmp_path):
     )
 
 
+def test_to_monomials_on_the_66_state_machine(tmp_path):
+    # 66 states, chain 39: keyed on the validated-marker mask, this
+    # decomposition ran past 1.5 GB without ending.
+    src = tmp_path / "big.po2"
+    literal = "[bc]*a.[b]*c.[bc]*c.[b]*a.[bc]w"
+    assert run_cli(["from-monomial", literal, "--alphabet", "abc", "-o", str(src)])[0] == 0
+    code, out = run_cli(["to-monomials", str(src)])
+    assert (code, out) == (
+        0, "[bc]*a.[b]*c.[b]*c.[b]*a.[bc]w\n[bc]*a.[b]*c.[bc]*c.[b]*c.[b]*a.[bc]w\n"
+    )
+
+
 def test_internal_errors_exit_4(tmp_path, monkeypatch, capsys):
     def overflowing(args, out):
         raise RecursionError("maximum recursion depth exceeded")

@@ -38,6 +38,8 @@ from po2buchi.words import LassoWord
 # {a,b}*a then immediately c, then c forever: the running example used by
 # hand-verified cases throughout.
 SHOWCASE = parse_monomial("[ab]*a.[]*c.[c]w")
+# The monomial whose machine perfbench's cli workload saves as big.po2.
+BIG = "[bc]*a.[b]*c.[bc]*c.[b]*a.[bc]w"
 
 
 def brute_member(m: Monomial, w: LassoWord, slack: int = 4) -> bool:
@@ -619,11 +621,38 @@ def test_decompose_showcase_machine():
             "[c]*b.[bc]*b.[c]*a.[bc]w",
             ["[c]*b.[bc]*b.[c]*b.[c]*a.[bc]w", "[c]*b.[c]*b.[c]*a.[bc]w"],
         ),
+        # 66 states, 26 of them Y, chain 39: keyed on the validated-marker
+        # mask, the walk stored over 341,000 dead keys here without ending.
+        (
+            BIG,
+            ["[bc]*a.[b]*c.[b]*c.[b]*a.[bc]w", "[bc]*a.[b]*c.[bc]*c.[b]*c.[b]*a.[bc]w"],
+        ),
     ],
 )
 def test_decompose_pinned_outputs(literal, expected):
     det = monomial_to_deterministic(parse_monomial(literal), alphabet="abc")
     assert [str(p) for p in automaton_to_polynomial(det)] == expected
+
+
+def test_decompose_big_machine_on_biased_lassos():
+    # Random lassos almost never land in this language, so half of these
+    # are members of the source monomial and half are members with one
+    # letter changed; about four in five are accepted.
+    source = parse_monomial(BIG)
+    det = monomial_to_deterministic(source, alphabet="abc")
+    poly = automaton_to_polynomial(det)
+    rng = random.Random(24)
+    accepted = 0
+    for i in range(3000):
+        w = sample_from_monomial(rng, source)
+        if i % 2:
+            word = list(w.spoke + w.period)
+            word[rng.randrange(len(word))] = rng.choice("abc")
+            w = LassoWord("".join(word[: len(w.spoke)]), "".join(word[len(w.spoke):]))
+        want = run_det(det, w).accepted
+        assert any(monomial_member(p, w) for p in poly) == want == monomial_member(source, w), str(w)
+        accepted += want
+    assert 1500 < accepted < 3000, accepted
 
 
 def assert_decomposes(rng: random.Random, a: Po2Automaton, alphabet: str) -> None:
@@ -696,12 +725,14 @@ def test_decompose_matches_reference():
 
 
 def test_decompose_cut_matches_reference():
-    # A skeleton is skipped when its key has come to nothing before.  A key
-    # that leaves out the validated markers or the crossing bits, or a
-    # skeleton marked dead when only its subtree emitted nothing, loses or
-    # changes monomials on a few of these machines and on none of the
-    # pinned ones.  3,000 machines over ab and abc with 2 to 8 states, about
-    # 30 % incomplete and a third with a Y start state.
+    # A skeleton is skipped when its key has come to nothing before.  Two
+    # wrong keys change the output here: one without the count of
+    # unvalidated markers on 20 of these machines, and one that keeps each
+    # crossing's X state but zeroes its ranked marker bits on 16 (and on
+    # the pinned 66-state machine).  Neither shows on the monomial machines
+    # below.  A skeleton marked dead when only its subtree emitted nothing
+    # changes the output here too.  3,000 machines over ab and abc with 2
+    # to 8 states, about 30 % incomplete and a third with a Y start state.
     rng = random.Random(17)
     tested = 0
     while tested < 3000:
@@ -712,6 +743,51 @@ def test_decompose_cut_matches_reference():
         if rng.random() < 1 / 3:
             a = with_y_start(rng, a)
         assert automaton_to_polynomial(a) == reference_automaton_to_polynomial(a)
+        tested += 1
+
+
+def test_decompose_cut_keeps_which_markers_each_crossing_names():
+    # Five states, two of them Y.  A key that holds only how many markers
+    # each crossing validates skips a skeleton here whose subtree emits the
+    # third monomial, and no machine of the 3,000 above shows that.  A key
+    # that zeroes the ranked bits fails here too.
+    transitions = {
+        ("z0", "a", "z0"), ("z0", "b", "z2"), ("z0", "c", "z0"),
+        ("z2", "a", "z4"), ("z2", "b", "z2"), ("z2", "c", "z4"), ("z2", LEND, "z6"),
+        ("z4", "a", "z5"), ("z4", "b", "z4"), ("z4", "c", "z4"),
+        ("z5", "a", "z6"), ("z5", "b", "z5"), ("z5", "c", "z5"), ("z5", LEND, "z6"),
+        ("z6", "a", "z6"), ("z6", "b", "z6"), ("z6", "c", "z6"),
+    }
+    a = Po2Automaton("abc", {"z0", "z4", "z6"}, {"z2", "z5"}, transitions, {"z0"}, {"z0", "z6"})
+    poly = automaton_to_polynomial(a)
+    assert [str(p) for p in poly] == [
+        "[]*b.[abc]w",
+        "[ac]*a.[]*b.[bc]*a.[abc]w",
+        "[ac]*a.[c]*c.[]*b.[bc]*a.[abc]w",
+        "[ac]w",
+        "[c]*c.[]*b.[bc]*a.[abc]w",
+    ]
+    assert poly == reference_automaton_to_polynomial(a)
+
+
+def test_decompose_monomial_machines_match_reference():
+    # The machines determinized from criterion 5's monomials.  Here the cut
+    # skips more skeletons than a key holding the validated-marker mask
+    # would on 71 of these 100, against 214 of the 3,000 random machines
+    # above.  Machines over 23 states are left out: the reference took 0.75
+    # to 35 s on each of those tried, against about 4 s for all 100 here.
+    rng = random.Random(24)
+    seen: set[str] = set()
+    tested = 0
+    while tested < 100:
+        m = random_restricted_monomial(rng, alphabet="abc", max_degree=3)
+        if str(m) in seen or is_unambiguous_bounded(m) is not None:
+            continue
+        seen.add(str(m))
+        det = monomial_to_deterministic(m, alphabet="abc")
+        if len(det.states) > 23:
+            continue
+        assert automaton_to_polynomial(det) == reference_automaton_to_polynomial(det), str(m)
         tested += 1
 
 
