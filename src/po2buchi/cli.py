@@ -56,17 +56,21 @@ def automaton_from_doc(data: dict) -> Po2Automaton:
 
     Names, letters and ``from``/``to`` must be JSON strings, ``initial`` and
     ``final`` JSON booleans, and ``alphabet`` a list, so that no other JSON
-    value is silently read as one of them.
+    value is silently read as one of them, and each state is listed once.
     """
     try:
         alphabet = data["alphabet"]
         states = data["states"]
         if not isinstance(alphabet, list) or not all(isinstance(c, str) for c in alphabet):
             raise ValueError(f"alphabet {alphabet!r} is not a list of letters")
+        names: set[str] = set()
         for entry in states:
             name = entry["name"]
             if not isinstance(name, str):
                 raise ValueError(f"state name {name!r} is not a string")
+            if name in names:
+                raise ValueError(f"state {name!r} is listed twice")
+            names.add(name)
             if entry["polarity"] not in ("X", "Y"):
                 raise ValueError(
                     f"state {name!r} has polarity {entry['polarity']!r},"
@@ -102,6 +106,8 @@ def _load(path: str) -> Po2Automaton:
             data = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}: not valid JSON: {err}") from err
+        except RecursionError as err:
+            raise ValueError(f"{path}: nested too deeply to read: {err}") from err
     return automaton_from_doc(data)
 
 

@@ -470,16 +470,22 @@ def chains_to(a: Po2Automaton, good: Callable[[str], bool]) -> dict[str, int]:
     return below
 
 
-def prune_unreachable(a: Po2Automaton) -> Po2Automaton:
-    """Drop states not reachable from the initial set in the transition graph."""
-    seen = set(a.initial)
-    frontier = list(a.initial)
+def reachable(a: Po2Automaton, sources: Iterable[str]) -> set[str]:
+    """States reachable from ``sources`` in the transition graph, sources included."""
+    seen = set(sources)
+    frontier = list(seen)
     while frontier:
         z = frontier.pop()
         for dst in a._change_edges[z]:
             if dst not in seen:
                 seen.add(dst)
                 frontier.append(dst)
+    return seen
+
+
+def prune_unreachable(a: Po2Automaton) -> Po2Automaton:
+    """Drop states not reachable from the initial set in the transition graph."""
+    seen = reachable(a, a.initial)
     return Po2Automaton(
         a.alphabet,
         a.x_states & seen,

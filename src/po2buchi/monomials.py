@@ -18,7 +18,6 @@ from .core import (
     LEND,
     Po2Automaton,
     _Value,
-    chain_lengths,
     chains_to,
     complete,
     disjoint_union,
@@ -26,6 +25,7 @@ from .core import (
     fresh_name,
     minimize,
     prune_unreachable,
+    reachable,
     relabel,
     require,
 )
@@ -632,10 +632,12 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     the same for every concrete gap, and each cell collects the
     intersection of the self-loop alphabets of the states that cross it.
     A skeleton is emitted when the run stabilizes in a final state and
-    every marker saw at least one state change; the emitted segments are
-    those intersections, narrowed where needed so each monomial misses one
-    later marker per segment (words with fatter gaps change state at
-    different positions and are covered by other skeletons).
+    every marker saw at least one state change; it emits one monomial, with
+    those intersections as segments (words with fatter gaps change state
+    at different positions and are covered by other skeletons).  No segment
+    needs narrowing: one holding every marker from its own on would let the
+    X state that first reaches its marker pass all later markers unchanged,
+    and such a skeleton is not emitted.
 
     The runs read the machine's own flat ``(state, letter) -> state``
     table.  The skeleton tree is walked depth first with an explicit stack;
@@ -645,36 +647,35 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     only meets markers already on the path, so it goes through their
     crossing tables, and a step costs a few lookups instead of a walk back
     to the tape start; only an emission runs the machine itself
-    (:func:`run.run_det` on its markers with empty gaps), to narrow the
+    (:func:`run.run_det` on its markers with empty gaps), to collect the
     segment cells.  No step uses Python recursion, so long chains need
     no deep Python stack.  A skeleton is extended only while its markers
     that saw no state change yet are no more than the state changes left
-    on the longest path to a final state.
+    on the longest path to a final state.  That bound is the walk's only
+    depth limit, as each other marker took a state change on the run so far.
 
     Skeletons are also cut by crossing behaviour (Shepherdson 1959).  Each
-    skeleton gets a key: its marker count, the X state it lands in, the
-    count of its markers that saw no state change yet, and for each Y state
-    reachable from the landed state the crossing of the last marker from
-    that state: the X state it leaves in and the unvalidated markers it
-    validates, renumbered 0, 1, 2, ... in position order over the markers
-    that some crossing of the key names.  What the skeleton emits, and
-    whether anything below it does, depends on the key alone: a union of
-    crossings has the same size under any one-to-one renumbering, and an
-    unvalidated marker that no crossing names is never validated below.  A
-    key under which nothing was emitted is remembered as dead, and every
-    later skeleton with that key is skipped with its subtree.  The output
-    is unchanged, but the cost is still exponential in the chain length in
-    the worst case: up to ``|alphabet|**(n - 1)`` skeletons for a chain of
-    n states.
+    skeleton gets a key: the X state it lands in, the count of its markers
+    that saw no state change yet, and for each Y state reachable from the
+    landed state the crossing of the last marker from that state: the X
+    state it leaves in and the unvalidated markers it validates, renumbered
+    0, 1, 2, ... in position order over the markers that some crossing of
+    the key names.  Whether anything below a skeleton is emitted depends on
+    the key alone: a union of crossings has the same size under any
+    one-to-one renumbering, and an unvalidated marker that no crossing
+    names is never validated below.  A key under which nothing was emitted
+    is remembered as dead, and every later skeleton with that key is
+    skipped with its subtree.  The output is unchanged, but the cost is
+    still exponential in the chain length in the worst case: up to
+    ``|alphabet|**(n - 1)`` skeletons for a chain of n states.
     """
     require(a, deterministic=True)
     a = ensure_x_initial(complete(a))
     (z0,) = a.initial
     letters = sorted(a.alphabet)
-    cap = max(chain_lengths(a)[0] - 1, 0)
     xs = a.x_states
     final = a.final
-    loops = {z: a.selfloop_letters(z) for z in a.states}
+    loops = a._selfloops
     cross = crosser(a)
     # Every marker still unvalidated when the run lands in z needs a state
     # change of its own, and those changes all lie on the run's path from z
@@ -690,11 +691,11 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
             marks.append(cell[1])
             cell = cell[2]
         marks.reverse()
-        # Narrow each segment cell to the letters on which every state
-        # crossing it loops.  Run the machine on the markers with empty gaps
-        # up to the first position past the last marker: a state reaching
-        # marker p moving right crossed gap p - 1, and a state reaching
-        # position p moving left crossed gap p.
+        # Each segment cell takes the letters on which every state crossing
+        # it loops.  Run the machine on the markers with empty gaps up to
+        # the first position past the last marker: a state reaching marker
+        # p moving right crossed gap p - 1, and a state reaching position p
+        # moving left crossed gap p.
         meets = [a.alphabet] * len(marks)
         if marks:
             word = "".join(marks)
@@ -702,25 +703,16 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
                 if p > len(word):
                     break
                 meets[p - 1 if s in xs else p] &= loops[s]
-        options = []
-        for i, meet in enumerate(meets):
-            later = frozenset(marks[i:])
-            if later <= meet:
-                options.append([meet - {c} for c in sorted(later)])
-            else:
-                options.append([meet])
-        for segs in product(*options):
-            mono = Monomial(segs, marks, loops[z])
-            if not mono.is_restricted():
-                raise RuntimeError(f"emitted monomial is not restricted: {mono}")
-            found.add(mono)
+        mono = Monomial(meets, marks, loops[z])
+        if not mono.is_restricted():
+            raise RuntimeError(f"emitted monomial is not restricted: {mono}")
+        found.add(mono)
 
-    # The cut on dead keys.  Below a skeleton with t markers that lands in z
-    # with the validated markers in mask and pending markers unvalidated,
-    # everything the walk reads is fixed by the skeleton's key:
-    # - the cap test reads t;
+    # The cut on dead keys.  Below a skeleton that lands in z with the
+    # validated markers in mask and pending markers unvalidated, everything
+    # the walk reads is fixed by the skeleton's key:
     # - the below test and the emission test read z and a later skeleton's
-    #   count of unvalidated markers;
+    #   count of unvalidated markers; no test reads the marker count itself;
     # - a later run only reaches states reachable from z, so it comes back
     #   onto the last marker only in those Y states, and all it learns from
     #   the markers up to there is that crossing: the X state it leaves in
@@ -733,27 +725,25 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
     # crossings' masks ranked, and pending in place of mask.  An
     # unvalidated marker that no crossing names is never validated below,
     # so it only counts in pending.  So a key under which neither the
-    # skeleton nor its subtree emitted stays dead.  Emissions are counted,
-    # not monomials found: a monomial depends on the marker letters too, so
-    # a subtree that emits only duplicates is not dead.
-    edges = a._change_edges
+    # skeleton nor its subtree emitted stays dead.  A skeleton emits at most
+    # one monomial, named by its marker word, so a subtree emitted nothing
+    # exactly when found did not grow.
     ys = a.y_states
     later: dict[str, tuple[str, ...]] = {}  # Y states reachable from z
     dead: set[tuple] = set()
-    emitted = 0
     if z0 in final:
         emit(z0, None)
     # One frame per skeleton on the path: its number of markers, its last
     # cell, the X state in which the run leaves it, the bitmask of markers
     # that saw a state change, the next letter to try, its key and the
-    # emissions counted before it.
-    frames = [[0, None, z0, 0, 0, None, 0]]
+    # monomials found before it.
+    frames = [[0, None, z0, 0, 0, None, len(found)]]
     while frames:
         frame = frames[-1]
         t, cell, z, mask, i, key, before = frame
-        if i == len(letters) or t >= cap:
+        if i == len(letters):
             frames.pop()
-            if emitted == before:
+            if len(found) == before:
                 dead.add(key)
             continue
         frame[4] = i + 1
@@ -763,14 +753,8 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
         pending = t + 1 - mask.bit_count()
         if pending <= below[landed]:
             if landed not in later:
-                seen, todo = {landed}, [landed]
-                while todo:
-                    for d in edges[todo.pop()]:
-                        if d not in seen:
-                            seen.add(d)
-                            todo.append(d)
-                later[landed] = tuple(seen & ys)
-            key = [t + 1, landed, pending]
+                later[landed] = tuple(reachable(a, (landed,)) & ys)
+            key = [landed, pending]
             named = 0
             for y in later[landed]:
                 x, m = cross(cell, y)
@@ -786,7 +770,7 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
                     rank[low] = bit
                     bit <<= 1
                     named ^= low
-                for k in range(4, len(key), 2):
+                for k in range(3, len(key), 2):
                     m, r = key[k], 0
                     while m:
                         low = m & -m
@@ -796,9 +780,8 @@ def automaton_to_polynomial(a: Po2Automaton) -> list[Monomial]:
             key = tuple(key)
             if key in dead:
                 continue
-            before = emitted
+            before = len(found)
             if pending == 0 and landed in final:
-                emitted += 1
                 emit(landed, cell)
             frames.append([t + 1, cell, landed, mask, 0, key, before])
     return sorted(found, key=str)

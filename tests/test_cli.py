@@ -149,6 +149,31 @@ def test_numeric_state_name_is_a_format_error(tmp_path, capsys):
     assert "is not a string" in capsys.readouterr().err
 
 
+def test_repeated_state_name_is_a_format_error(tmp_path, capsys):
+    # Two entries named p used to be read as one final state.
+    src = tmp_path / "twice.po2"
+    doc = universal_doc()
+    doc["states"] = [
+        {"name": "p", "polarity": "X", "initial": True, "final": False},
+        {"name": "p", "polarity": "X", "initial": True, "final": True},
+    ]
+    doc["transitions"] = [{"from": "p", "letter": c, "to": "p"} for c in "ab"]
+    write(src, doc)
+    for argv in (["stats", str(src)], ["member", str(src), "a(b)"]):
+        assert run_cli(argv) == (2, ""), argv
+        assert "state 'p' is listed twice" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_is_a_format_error(tmp_path, capsys):
+    # The JSON reader gives up on deep nesting with a RecursionError, which
+    # used to be reported as an internal error with exit 4.
+    src = tmp_path / "deep.po2"
+    src.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    for argv in (["validate", str(src)], ["equiv", str(src), str(src)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {src}: nested too deeply")
+
+
 def test_validate_reports_violations(tmp_path):
     good = tmp_path / "good.po2"
     write(good, universal_doc())
@@ -191,6 +216,35 @@ def test_complement_pipeline_flips_membership(tmp_path):
             spoke = "".join(rng.choice("ab") for _ in range(rng.randint(0, 4)))
             w = parse_lasso(f"{spoke}({rng.choice('ab')})")
             assert membership_nondet(flipped, w) != membership_nondet(complete(a), w)
+
+
+def test_complete_pipeline_keeps_membership(tmp_path):
+    rng = random.Random(603)
+    src = tmp_path / "m.po2"
+    out_path = tmp_path / "c.po2"
+    again_path = tmp_path / "cc.po2"
+    for _ in range(10):
+        a = random_det_automaton(rng, alphabet="ab", max_states=4, complete=False)
+        write(src, automaton_to_doc(a))
+        assert run_cli(["complete", str(src), "-o", str(out_path)]) == (0, "")
+        done = automaton_from_doc(json.loads(out_path.read_text()))
+        assert done.validate().is_complete
+        for _ in range(5):
+            spoke = "".join(rng.choice("ab") for _ in range(rng.randint(0, 4)))
+            w = parse_lasso(f"{spoke}({rng.choice('ab')})")
+            assert membership_nondet(done, w) == membership_nondet(a, w)
+        assert run_cli(["complete", str(out_path), "-o", str(again_path)]) == (0, "")
+        assert again_path.read_text() == out_path.read_text()
+
+
+def test_from_formula_machine_is_empty_exactly_when_unsat(tmp_path):
+    out_path = tmp_path / "f.po2"
+    for formula in ("v1 & !v1", "!v1 & v2", "(v1 | v2) & !v1 & !v2", "v1 & (!v1 | v3)"):
+        assert run_cli(["from-formula", formula, "-o", str(out_path)]) == (0, "")
+        sat, _ = run_cli(["sat", formula])
+        empty, out = run_cli(["empty", str(out_path)])
+        assert (sat, empty) in ((0, 1), (1, 0)), formula
+        assert out.startswith("empty" if sat else "nonempty"), formula
 
 
 def test_product_and_decision_commands(tmp_path):
@@ -256,16 +310,17 @@ def test_product_of_machines_with_bars_in_names_and_letters(tmp_path):
 
 
 def test_member_handles_nondeterministic_machines(tmp_path):
-    doc = universal_doc()
-    doc["states"].append({"name": "alt", "polarity": "X", "initial": True, "final": False})
-    doc["transitions"] += [
-        {"from": "alt", "letter": "a", "to": "alt"},
-        {"from": "alt", "letter": "b", "to": "alt"},
-    ]
-    src = tmp_path / "n.po2"
-    write(src, doc)
-    code, out = run_cli(["member", str(src), "ab(a)"])
-    assert (code, out) == (0, "accepted\n")
+    # A second initial state that never accepts: the union accepts what the
+    # first state's machine accepts.
+    for doc, expected in ((universal_doc(), (0, "accepted\n")), (empty_doc(), (1, "rejected\n"))):
+        doc["states"].append({"name": "alt", "polarity": "X", "initial": True, "final": False})
+        doc["transitions"] += [
+            {"from": "alt", "letter": "a", "to": "alt"},
+            {"from": "alt", "letter": "b", "to": "alt"},
+        ]
+        src = tmp_path / "n.po2"
+        write(src, doc)
+        assert run_cli(["member", str(src), "ab(a)"]) == expected
 
 
 def test_budget_exit_code(tmp_path):

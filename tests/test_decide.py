@@ -99,6 +99,11 @@ def test_empty_machine_has_no_witness():
 def test_empty_alphabet_language_is_empty():
     bare = Po2Automaton("", {"q"}, set(), set(), {"q"}, {"q"})
     assert is_empty(bare) is None
+    # No lasso exists, so any two such machines agree, final state or not.
+    rejecting = Po2Automaton("", {"p"}, set(), set(), {"p"}, set())
+    assert includes(bare, rejecting) is None
+    assert equivalent(bare, rejecting) is None
+    assert equivalent(rejecting, bare) is None
 
 
 def test_showcase_emptiness_witness():
