@@ -7,8 +7,8 @@ initial, final}`` with string names and boolean flags), and ``transitions``
 marker).  Reports are deterministic for fixed inputs.  Exit codes: 0 for
 affirmative results, 1 for negative decisions (the witness is printed), 2 for
 usage or format errors, 3 for an exceeded budget, 4 for an internal error
-(any other exception, reported on one stderr line so that a fault is never
-mistaken for a negative verdict).
+(any other exception, a MemoryError included, reported on one stderr line so
+that a fault is never mistaken for a negative verdict).
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ def automaton_from_doc(data: dict) -> Po2Automaton:
     Names, letters and ``from``/``to`` must be JSON strings, ``initial`` and
     ``final`` JSON booleans, and ``alphabet`` a list, so that no other JSON
     value is silently read as one of them, and each state is listed once.
+    ``"LEND"`` is the only spelling of the left-end marker: a letter that is
+    the marker character itself is rejected.
     """
     try:
         alphabet = data["alphabet"]
@@ -87,6 +89,8 @@ def automaton_from_doc(data: dict) -> Po2Automaton:
             if not all(isinstance(part, str) for part in edge):
                 raise ValueError(f"transition {edge!r} has a part that is not a string")
             src, c, dst = edge
+            if c == LEND:
+                raise ValueError(f'transition {edge!r}: the left-end marker is spelled "LEND"')
             transitions.append((src, LEND if c == "LEND" else c, dst))
         return Po2Automaton(
             alphabet,
@@ -377,6 +381,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args, sys.stdout)
+    except MemoryError:
+        pass  # reported below, once the traceback has let go of the work
     except BudgetExceeded:
         print("budget exceeded")
         return 3
@@ -386,6 +392,13 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as err:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 4
+    # A fixed line, so that reporting needs next to no memory; the exit code
+    # stands even where the line cannot be written.
+    try:
+        sys.stderr.write("internal error: MemoryError\n")
+    except Exception:
+        pass
+    return 4
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import AbstractSet, Callable, Iterable
 
+from . import _Value
+
 LEND = "▷"  # left tape-end marker, never part of an input alphabet
 
 Transition = tuple[str, str, str]
@@ -27,57 +29,11 @@ class BudgetExceeded(Exception):
     """
 
 
-class _Value:
-    """Immutable value compared and hashed by its ``_fields``, as a frozen
-    dataclass is.  Subclasses set their fields with ``object.__setattr__``.
-
-    The package does not use :mod:`dataclasses`: importing it loads
-    :mod:`inspect`, which costs each short ``po2`` process about 7 ms.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def _key(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{self.__class__.__qualname__}({args})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 class ValidationReport(_Value):
-    _fields = ("is_well_formed_po2", "is_deterministic", "is_complete", "violations")
-
     is_well_formed_po2: bool
     is_deterministic: bool
     is_complete: bool
-    violations: tuple[str, ...]
-
-    def __init__(
-        self,
-        is_well_formed_po2: bool,
-        is_deterministic: bool,
-        is_complete: bool,
-        violations: tuple[str, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "is_well_formed_po2", is_well_formed_po2)
-        object.__setattr__(self, "is_deterministic", is_deterministic)
-        object.__setattr__(self, "is_complete", is_complete)
-        object.__setattr__(self, "violations", violations)
+    violations: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return self.is_well_formed_po2
@@ -91,8 +47,6 @@ class Po2Automaton(_Value):
     two-way discipline (for instance a left-end edge leaving an X state):
     those are diagnosed by :meth:`validate` so that callers can report them.
     """
-
-    _fields = ("alphabet", "x_states", "y_states", "transitions", "initial", "final")
 
     alphabet: frozenset[str]
     x_states: frozenset[str]

@@ -45,10 +45,10 @@ in that order would give.
 
 from __future__ import annotations
 
+from . import _Value
 from .core import (
     BudgetExceeded,
     Po2Automaton,
-    _Value,
     chain_lengths,
     chains_to,
     complement,
@@ -63,14 +63,8 @@ from .words import LassoWord
 class Witness(_Value):
     """An ultimately constant lasso ``spoke . letter^w`` certifying an answer."""
 
-    _fields = ("spoke", "letter")
-
     spoke: str
     letter: str
-
-    def __init__(self, spoke: str, letter: str) -> None:
-        object.__setattr__(self, "spoke", spoke)
-        object.__setattr__(self, "letter", letter)
 
     def word(self) -> LassoWord:
         return LassoWord(self.spoke, self.letter)
@@ -156,19 +150,19 @@ def _trie_search(
         # completion would sit in the non-accepting sink.
         return b is None or run_det(b, w).verdict != ACCEPTED
 
-    def accepts(cand: Witness, runs) -> bool:
+    def accepts(spoke: str, c: str, runs) -> bool:
         if not walks:
-            w = cand.word()
+            w = LassoWord(spoke, c)
             return out_b(w) and membership_nondet(a, w)
         # A witness settles a's run in a final state, b's in a non-final one.
         for (m, _, final), cross, (cell, z) in zip(walks, crosses, runs):
             z = _settle(cross, m._tables[0], cell, z, len(m.states))
             if (z in m.final) != final:
                 return False
-        w = cand.word()
+        w = LassoWord(spoke, c)
         if run_det(a, w).verdict != ACCEPTED or not out_b(w):
             raise RuntimeError(
-                f"internal: the crossing tables settle {cand} as a witness "
+                f"internal: the crossing tables settle {w} as a witness "
                 "but a run from the tape start does not"
             )
         return True
@@ -200,9 +194,8 @@ def _trie_search(
                     z, changed = cross(cell, z)
                     cruns.append((cell, z))
                     cmask |= changed
-                cand = Witness(spoke, c)
-                if accepts(cand, cruns):
-                    return cand
+                if accepts(spoke, c, cruns):
+                    return Witness(spoke, c)
                 if n < bound and alive(n + 1, cruns, cmask):
                     grown.append((spoke + c, index * k + i, cruns, cmask))
         level = grown

@@ -13,11 +13,11 @@ import re
 from functools import reduce
 from itertools import product
 
+from . import _Value
 from .boolean import product_union
 from .core import (
     LEND,
     Po2Automaton,
-    _Value,
     chains_to,
     complete,
     disjoint_union,
@@ -35,8 +35,6 @@ from .words import LassoWord
 
 class Monomial(_Value):
     """Degree-k chain of (segment alphabet, marker letter) pairs plus a tail."""
-
-    _fields = ("segments", "markers", "tail")
 
     segments: tuple[frozenset[str], ...]
     markers: tuple[str, ...]
@@ -134,9 +132,9 @@ def is_unambiguous_bounded(m: Monomial, bound: int | None = None) -> LassoWord |
     """Search for a word admitting two distinct factorizations.
 
     Returns a witness lasso if two different marker placements within the
-    first ``bound`` positions (default ``degree + 5``) are jointly
-    satisfiable, and None otherwise.  None means "unambiguous up to the
-    bound", not a proof of unambiguity.
+    first ``bound`` positions (default ``max(degree + 5, 2 * degree)``) are
+    jointly satisfiable, and None otherwise.  From ``2 * degree`` on, None
+    means the monomial is unambiguous: see the sweep below.
 
     The witness is the first one a scan of all pairs of placements in lex
     order would meet: the lex-least pair, and at each position up to the
@@ -149,9 +147,14 @@ def is_unambiguous_bounded(m: Monomial, bound: int | None = None) -> LassoWord |
     same continuations, so the least stays least.  Cost
     ``O(bound * (degree + 1)**2)`` states, where the scan tried up to
     ``C(bound, degree)**2 / 2`` pairs.
+
+    Why ``2 * degree`` positions decide: a move ``(0, 0)`` leaves the sweep
+    state as it is, and every other move raises ``ta + tb``.  So a shortest
+    path to ``(k, k, True)`` has at most ``2k`` moves, and on the nonempty
+    tail that state keeps itself, so every longer sweep reaches it too.
     """
     if bound is None:
-        bound = m.degree + 5
+        bound = max(m.degree + 5, 2 * m.degree)
     k = m.degree
     if k == 0 or not m.tail or bound < k:
         return None
@@ -546,10 +549,9 @@ def _mirror_acceptor(segments, markers, end, alphabet, forbid) -> Po2Automaton:
 def monomial_to_deterministic(m: Monomial, alphabet=None) -> Po2Automaton:
     """Deterministic complete two-way machine for a restricted monomial.
 
-    Requires restrictedness exactly and unambiguity up to a small bound;
-    ambiguous inputs beyond the bound may still be detected during
-    construction and raise as well.  An empty tail fits no infinite word
-    and gives the one rejecting state.
+    Requires restrictedness and unambiguity, both checked exactly up
+    front (:func:`is_unambiguous_bounded` at its default bound).  An empty
+    tail fits no infinite word and gives the one rejecting state.
 
     The first-occurrence cases of the monomial are united by
     :func:`boolean.product_union`, and every operand the product takes, an

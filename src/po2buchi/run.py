@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import LEND, Po2Automaton, _Value
+from . import _Value
+from .core import LEND, Po2Automaton
 from .words import LassoWord
 
 ACCEPTED = "accepted"
@@ -21,27 +22,11 @@ STUCK = "stuck"
 
 
 class RunOutcome(_Value):
-    _fields = ("verdict", "stationary_state", "steps", "state_changes", "trace")
-
     verdict: str
     stationary_state: str | None
     steps: int
     state_changes: tuple[tuple[int, str, str, str], ...]
-    trace: tuple[tuple[str, int], ...] | None
-
-    def __init__(
-        self,
-        verdict: str,
-        stationary_state: str | None,
-        steps: int,
-        state_changes: tuple[tuple[int, str, str, str], ...],
-        trace: tuple[tuple[str, int], ...] | None = None,
-    ) -> None:
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "stationary_state", stationary_state)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "state_changes", state_changes)
-        object.__setattr__(self, "trace", trace)
+    trace: tuple[tuple[str, int], ...] | None = None
 
     @property
     def accepted(self) -> bool:

@@ -9,52 +9,34 @@ adversarial generator for the decision procedures.
 
 from __future__ import annotations
 
-from .core import LEND, Po2Automaton, _Value
+from . import _Value
+from .core import LEND, Po2Automaton
 from .decide import is_empty
 
 
 class Var(_Value):
     """A propositional variable; indices start at 1."""
 
-    _fields = ("index",)
-
     index: int
 
     def __init__(self, index: int) -> None:
         if index < 1:
             raise ValueError(f"variable index must be at least 1, got {index}")
-        object.__setattr__(self, "index", index)
+        super().__init__(index)
 
 
 class Not(_Value):
-    _fields = ("child",)
-
-    child: "PropFormula"
-
-    def __init__(self, child: "PropFormula") -> None:
-        object.__setattr__(self, "child", child)
+    child: PropFormula
 
 
 class And(_Value):
-    _fields = ("left", "right")
-
-    left: "PropFormula"
-    right: "PropFormula"
-
-    def __init__(self, left: "PropFormula", right: "PropFormula") -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    left: PropFormula
+    right: PropFormula
 
 
 class Or(_Value):
-    _fields = ("left", "right")
-
-    left: "PropFormula"
-    right: "PropFormula"
-
-    def __init__(self, left: "PropFormula", right: "PropFormula") -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    left: PropFormula
+    right: PropFormula
 
 
 PropFormula = Var | Not | And | Or

@@ -11,8 +11,10 @@ from __future__ import annotations
 import re
 from functools import cached_property
 
+from . import _Value
 
-class LassoWord:
+
+class LassoWord(_Value):
     """An ultimately periodic infinite word ``spoke . period^w``.
 
     Equality is structural: ``LassoWord("a", "b")`` and ``LassoWord("ab", "b")``
@@ -20,8 +22,9 @@ class LassoWord:
     operations (membership, monomial matching) must not depend on the chosen
     representation; tests pin that down.
 
-    A frozen value like ``core._Value``, written out here so that parsing a
-    lasso word loads no other module of the package.
+    A frozen value on the shared base ``po2buchi._Value``, which the
+    package's ``__init__`` defines, so that parsing a lasso word loads no
+    other module of the package.
     """
 
     spoke: str
@@ -30,25 +33,7 @@ class LassoWord:
     def __init__(self, spoke: str, period: str) -> None:
         if not period:
             raise ValueError("lasso word needs a nonempty period")
-        object.__setattr__(self, "spoke", spoke)
-        object.__setattr__(self, "period", period)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.spoke, self.period) == (other.spoke, other.period)
-
-    def __hash__(self) -> int:
-        return hash((self.spoke, self.period))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(spoke={self.spoke!r}, period={self.period!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+        super().__init__(spoke, period)
 
     def letter_at(self, i: int) -> str:
         """Letter at 1-based position ``i``."""

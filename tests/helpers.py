@@ -531,7 +531,7 @@ def reference_is_unambiguous_bounded(m: Monomial, bound: int | None = None) -> L
     satisfiable pair's letters.  The oracle for
     ``monomials.is_unambiguous_bounded``."""
     if bound is None:
-        bound = m.degree + 5
+        bound = max(m.degree + 5, 2 * m.degree)
     if m.degree == 0 or not m.tail:
         return None
     vectors = list(combinations(range(1, bound + 1), m.degree))
@@ -548,6 +548,40 @@ def reference_is_unambiguous_bounded(m: Monomial, bound: int | None = None) -> L
             else:
                 return LassoWord("".join(letters), anchor)
     return None
+
+
+def _chain_moves(m: Monomial, t: int, c: str) -> list[int]:
+    """Successors of state t of m's chain NFA on letter c: the one-way
+    machine that stays in t on segment t, steps to t + 1 on marker t, and
+    in its last state k stays on the tail."""
+    if t == m.degree:
+        return [t] if c in m.tail else []
+    return [u for u, fits in ((t, c in m.segments[t]), (t + 1, c == m.markers[t])) if fits]
+
+
+def monomials_meet(m1: Monomial, m2: Monomial, differently: bool = False) -> bool:
+    """Whether some infinite word fits both monomials; with ``differently``,
+    by marker placements that differ somewhere, so that
+    ``monomials_meet(m, m, differently=True)`` says m is ambiguous.
+
+    Reachability in the product of the two chain NFAs, with a bit for
+    whether the placements have differed yet, of both last states, followed
+    by a letter of both tails."""
+    start = (0, 0, False)
+    seen, todo = {start}, [start]
+    letters = sorted(m1.letters | m2.letters)
+    while todo:
+        t1, t2, apart = todo.pop()
+        if (t1, t2) == (m1.degree, m2.degree) and (apart or not differently) and m1.tail & m2.tail:
+            return True
+        for c in letters:
+            for u1 in _chain_moves(m1, t1, c):
+                for u2 in _chain_moves(m2, t2, c):
+                    state = u1, u2, apart or u1 - t1 != u2 - t2
+                    if state not in seen:
+                        seen.add(state)
+                        todo.append(state)
+    return False
 
 
 def reference_cross(a: Po2Automaton, spoke: str, z: str) -> tuple[str, int]:

@@ -16,7 +16,7 @@ import po2buchi
 from helpers import one_letter_chain, random_det_automaton, random_nondet_automaton
 from po2buchi import cli
 from po2buchi.cli import automaton_from_doc, automaton_to_doc, main
-from po2buchi.core import complement, complete
+from po2buchi.core import LEND, complement, complete
 from po2buchi.run import membership_nondet
 from po2buchi.words import parse_lasso
 
@@ -162,6 +162,37 @@ def test_repeated_state_name_is_a_format_error(tmp_path, capsys):
     for argv in (["stats", str(src)], ["member", str(src), "a(b)"]):
         assert run_cli(argv) == (2, ""), argv
         assert "state 'p' is listed twice" in capsys.readouterr().err
+
+
+def test_the_marker_character_is_not_a_letter(tmp_path, capsys):
+    # "LEND" is the format's only spelling of the left-end marker.  The raw
+    # marker character used to be read as a second one: validate passed the
+    # machine, member accepted on it, and complete wrote it back as "LEND".
+    doc = {
+        "alphabet": ["a", "b"],
+        "states": [
+            {"name": "s", "polarity": "X", "initial": True, "final": False},
+            {"name": "y", "polarity": "Y", "initial": False, "final": False},
+            {"name": "f", "polarity": "X", "initial": False, "final": True},
+        ],
+        "transitions": [
+            {"from": "s", "letter": "a", "to": "s"},
+            {"from": "s", "letter": "b", "to": "y"},
+            {"from": "y", "letter": "a", "to": "y"},
+            {"from": "y", "letter": "b", "to": "y"},
+            {"from": "y", "letter": "LEND", "to": "f"},
+            {"from": "f", "letter": "a", "to": "f"},
+            {"from": "f", "letter": "b", "to": "f"},
+        ],
+    }
+    write(tmp_path / "lend.po2", doc)
+    assert run_cli(["member", str(tmp_path / "lend.po2"), "ab(a)"])[0] == 0
+    doc["transitions"][4]["letter"] = LEND
+    src = tmp_path / "raw.po2"
+    write(src, doc)
+    for argv in (["validate", str(src)], ["member", str(src), "ab(a)"], ["complete", str(src)]):
+        assert run_cli(argv) == (2, ""), argv
+        assert 'the left-end marker is spelled "LEND"' in capsys.readouterr().err
 
 
 def test_deeply_nested_json_is_a_format_error(tmp_path, capsys):
@@ -435,6 +466,35 @@ def test_internal_errors_exit_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_stats", broken)
     assert main(["stats", str(tmp_path / "unread.po2")]) == 4
     assert capsys.readouterr().err == "internal error: RuntimeError: internal: broken on purpose\n"
+
+
+def test_running_out_of_memory_exits_4(tmp_path, monkeypatch, capsys):
+    # Formatting the report while the traceback still held the partial
+    # construction raised a second MemoryError, which left main: exit 1.
+    def exhausted(args, out):
+        raise MemoryError
+
+    class Full:
+        def write(self, text):
+            raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_stats", exhausted)
+    argv = ["stats", str(tmp_path / "unread.po2")]
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stderr", Full())
+        assert main(argv) == 4
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "internal error: MemoryError\n"
+
+
+def test_an_ambiguous_monomial_past_the_old_bound_exits_2(capsys):
+    # Degree 7, ambiguous only past the old default bound of 12 positions:
+    # the construction used to fail inside, expecting an unambiguous input.
+    literal = "[ab]*a.[]*a.[]*b.[bc]*a.[c]*b.[]*b.[ab]*c.[bc]w"
+    assert run_cli(["from-monomial", literal]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: monomial is ambiguous: aababbaabacbbc(b) fits two factorizations\n"
+    )
 
 
 def test_a_product_over_its_stack_bound_exits_4_not_1(tmp_path, monkeypatch, capsys):

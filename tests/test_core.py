@@ -513,3 +513,55 @@ def test_values_are_frozen_with_structural_equality():
     for bad in (lambda: Var(0), lambda: LassoWord("a", "")):
         with pytest.raises(ValueError):
             bad()
+
+
+# Each value class, one value for each of its fields in declaration order,
+# and the defaults of the fields that may be left out.
+CONSTRUCTED = [
+    (ValidationReport,
+     {"is_well_formed_po2": True, "is_deterministic": False, "is_complete": True,
+      "violations": ("v",)},
+     {"violations": ()}),
+    (Po2Automaton,
+     {"alphabet": frozenset("a"), "x_states": frozenset("x"), "y_states": frozenset(),
+      "transitions": frozenset({("x", "a", "x")}), "initial": frozenset("x"),
+      "final": frozenset("x")},
+     {}),
+    (LassoWord, {"spoke": "ab", "period": "c"}, {}),
+    (RunOutcome,
+     {"verdict": "accepted", "stationary_state": "q", "steps": 3,
+      "state_changes": ((1, "p", "a", "q"),), "trace": (("q", 1),)},
+     {"trace": None}),
+    (Witness, {"spoke": "ab", "letter": "c"}, {}),
+    (Monomial,
+     {"segments": (frozenset("ab"),), "markers": ("c",), "tail": frozenset("a")},
+     {"segments": (), "markers": (), "tail": frozenset()}),
+    (Var, {"index": 3}, {}),
+    (Not, {"child": Var(1)}, {}),
+    (And, {"left": Var(1), "right": Var(2)}, {}),
+    (Or, {"left": Var(1), "right": Var(2)}, {}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, defaults", CONSTRUCTED, ids=[cls.__name__ for cls, _, _ in CONSTRUCTED]
+)
+def test_value_constructors_bind_arguments_as_a_signature_does(cls, fields, defaults):
+    names, args = list(fields), tuple(fields.values())
+    v = cls(*args)
+    assert [getattr(v, f) for f in names] == list(args)
+    assert cls(**fields) == cls(**dict(reversed(fields.items()))) == v
+    assert cls(*args[:1], **dict(list(fields.items())[1:])) == v
+    required = len(names) - len(defaults)
+    assert names[required:] == list(defaults)
+    short = cls(*args[:required])
+    assert {f: getattr(short, f) for f in defaults} == defaults
+    with pytest.raises(TypeError):
+        cls(*args, args[-1])
+    with pytest.raises(TypeError, match="'unknown'"):
+        cls(*args, unknown=1)
+    with pytest.raises(TypeError, match=f"'{names[0]}'"):
+        cls(*args, **{names[0]: args[0]})
+    if required:
+        with pytest.raises(TypeError, match=f"'{names[required - 1]}'"):
+            cls(*args[: required - 1])

@@ -10,6 +10,7 @@ from helpers import (
     random_det_automaton,
     random_lasso,
     random_monomial,
+    monomials_meet,
     random_restricted_monomial,
     reference_automaton_to_polynomial,
     reference_is_unambiguous_bounded,
@@ -209,6 +210,33 @@ def test_unambiguous_bounded_at_degree_nine():
     assert is_unambiguous_bounded(parse_monomial(chain + "[abc]w")) is None
     m = parse_monomial("[ab]*a.[b]*b." * 4 + "[ab]*c.[bc]w")
     assert is_unambiguous_bounded(m) == LassoWord("ababababbc", "b")
+
+
+def test_unambiguous_default_bound_is_exact():
+    """Degree 7: the old default of degree + 5 = 12 positions missed this
+    ambiguity, and the construction then failed inside with "ambiguous
+    finite monomial".  From 2 * degree positions on the witness is found,
+    and the construction refuses the monomial up front."""
+    m = parse_monomial("[ab]*a.[]*a.[]*b.[bc]*a.[c]*b.[]*b.[ab]*c.[bc]w")
+    witness = LassoWord("aababbaabacbbc", "b")
+    assert is_unambiguous_bounded(m, bound=12) is None
+    assert is_unambiguous_bounded(m) == is_unambiguous_bounded(m, bound=38) == witness
+    with pytest.raises(ValueError, match=r"^monomial is ambiguous: aababbaabacbbc\(b\) fits"):
+        monomial_to_deterministic(m)
+
+
+def test_unambiguous_default_bound_matches_the_chain_product():
+    """At its default bound the sweep says None exactly when no two marker
+    placements fit one word, which the self-product of the chain NFA
+    decides with no bound."""
+    rng = random.Random(26)
+    hits = 0
+    for _ in range(600):
+        m = random_monomial(rng, "abc"[: rng.randint(2, 3)], max_degree=8)
+        ambiguous = monomials_meet(m, m, differently=True)
+        assert (is_unambiguous_bounded(m) is not None) == ambiguous, str(m)
+        hits += ambiguous
+    assert hits >= 300
 
 
 def test_ambiguity_witnesses_verify():
@@ -631,7 +659,19 @@ def test_decompose_showcase_machine():
 )
 def test_decompose_pinned_outputs(literal, expected):
     det = monomial_to_deterministic(parse_monomial(literal), alphabet="abc")
-    assert [str(p) for p in automaton_to_polynomial(det)] == expected
+    poly = automaton_to_polynomial(det)
+    assert [str(p) for p in poly] == expected
+    assert_delta2_normal_form(poly)
+
+
+def assert_delta2_normal_form(poly: list[Monomial]) -> None:
+    """The paper's normal form: a disjoint union of unambiguous monomials.
+    A word's run fixes where its state changes are, so a factorization
+    into an emitted monomial puts its markers exactly there."""
+    for p in poly:
+        assert is_unambiguous_bounded(p) is None, str(p)
+    for p, q in itertools.combinations(poly, 2):
+        assert not monomials_meet(p, q), (str(p), str(q))
 
 
 def test_decompose_big_machine_on_biased_lassos():
@@ -744,6 +784,7 @@ def test_decompose_cut_matches_reference():
             a = with_y_start(rng, a)
         poly = automaton_to_polynomial(a)
         assert poly == reference_automaton_to_polynomial(a)
+        assert_delta2_normal_form(poly)
         # A skeleton emits one monomial and its marker word names it, which
         # is what lets the walk count emissions as monomials found.
         assert len({m.markers for m in poly}) == len(poly)
@@ -791,7 +832,9 @@ def test_decompose_monomial_machines_match_reference():
         det = monomial_to_deterministic(m, alphabet="abc")
         if len(det.states) > 23:
             continue
-        assert automaton_to_polynomial(det) == reference_automaton_to_polynomial(det), str(m)
+        poly = automaton_to_polynomial(det)
+        assert poly == reference_automaton_to_polynomial(det), str(m)
+        assert_delta2_normal_form(poly)
         tested += 1
 
 
