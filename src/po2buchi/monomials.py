@@ -555,10 +555,13 @@ def monomial_to_deterministic(m: Monomial, alphabet=None) -> Po2Automaton:
 
     The first-occurrence cases of the monomial are united by
     :func:`boolean.product_union`, and every operand the product takes, an
-    intermediate product included, is quotiented by :func:`core.minimize`
-    first, so the product multiplies smaller machines.  With one case no
-    product is built and nothing is quotiented.  The product itself, as
-    ``po2 product`` runs it, quotients nothing.
+    intermediate product included, first has its dead states, from which
+    no final state is reachable, merged into one rejecting sink and is then
+    quotiented by :func:`core.minimize`, so the product multiplies smaller
+    machines.  The quotient alone keeps dead states apart that are not
+    bisimilar.  With one case no product is built and nothing is merged or
+    quotiented.  The product itself, as ``po2 product`` runs it, does
+    neither.
     """
     alphabet = _ambient(m, alphabet)
     if not m.is_restricted():
@@ -592,7 +595,40 @@ def _det_build(m: Monomial, alphabet: frozenset[str]) -> Po2Automaton:
         _assemble_case(p_segs, p_marks, Monomial(q_segs, q_marks, m.tail), a, alphabet)
         for p_segs, p_marks, q_segs, q_marks in cases
     ]
-    return reduce(lambda x, y: product_union(minimize(x), minimize(y)), machines)
+    return reduce(
+        lambda x, y: product_union(minimize(_merge_dead(x)), minimize(_merge_dead(y))),
+        machines,
+    )
+
+
+def _merge_dead(x: Po2Automaton) -> Po2Automaton:
+    """``x`` with its dead states, from which no final state is reachable,
+    merged into one rejecting X sink that loops on every letter.
+
+    ``x`` must be complete and deterministic, as every product operand is.
+    A dead state's successors are dead, so a lone dead state is already
+    such a sink, and ``x`` with at most one is returned as it is."""
+    dead = {z for z, n in chains_to(x, x.final.__contains__).items() if n < 0}
+    if len(dead) <= 1:
+        return x
+    sink = fresh_name("sink", x.states)
+    # Every state a run visits after a dead state is dead too, so that run
+    # never stabilizes in a final state.  The merged machine copies the run
+    # step for step up to its first dead state and then rejects in the sink.
+    # No chain gets longer: where a chain now ends in the sink, it went on
+    # into dead states before, and in a complete machine they reach an X one.
+    transitions = {
+        (s, c, sink if d in dead else d) for s, c, d in x.transitions if s not in dead
+    }
+    transitions.update((sink, c, sink) for c in x.alphabet)
+    return Po2Automaton(
+        x.alphabet,
+        (x.x_states - dead) | {sink},
+        x.y_states - dead,
+        transitions,
+        {sink if z in dead else z for z in x.initial},
+        x.final,
+    )
 
 
 def _assemble_case(

@@ -8,7 +8,7 @@ pass is reproducible.
 import random
 import time
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 from compat_oracle import (
@@ -21,6 +21,7 @@ from compat_oracle import (
 from helpers import (
     evaluate_formula,
     formula_reader_cost,
+    monomials_meet,
     random_det_automaton,
     random_formula,
     random_lasso,
@@ -187,7 +188,8 @@ def test_criterion_5_translation_round_trips():
     # Monomial -> deterministic machine on >= 100 unambiguous restricted
     # monomials (degree <= 3, >= 20 lassos each), and machine -> polynomial
     # on >= 100 deterministic machines (<= 6 states, >= 20 lassos each,
-    # emitted monomials restricted with chain-bounded degree).
+    # emitted monomials restricted, unambiguous and pairwise disjoint, with
+    # chain-bounded degree).
     rng = random.Random(9005)
     built = 0
     while built < 100:
@@ -210,6 +212,9 @@ def test_criterion_5_translation_round_trips():
         for p in poly:
             assert p.is_restricted(), str(p)
             assert p.degree <= degree_cap, (str(p), degree_cap)
+            assert is_unambiguous_bounded(p) is None, str(p)
+        for p, q in combinations(poly, 2):
+            assert not monomials_meet(p, q), (str(p), str(q))
         with_tail = [p for p in poly if p.tail]
         for i in range(20):
             if i % 2 and with_tail:

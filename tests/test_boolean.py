@@ -11,6 +11,7 @@ from po2buchi.core import (
     LEND,
     Po2Automaton,
     chain_lengths,
+    chains_to,
     complement,
     complete,
     minimize,
@@ -256,7 +257,10 @@ def test_product_matches_reference_inside_determinization(monkeypatch, literal):
     monomials.monomial_to_deterministic(monomials.parse_monomial(literal), alphabet="abc")
     assert pairs
     for a, b in pairs:
-        # Determinization hands the product quotiented operands.
+        # Determinization hands the product quotiented operands, each with
+        # its dead states merged into one.
         assert len(minimize(a).states) == len(a.states)
         assert len(minimize(b).states) == len(b.states)
+        for m in (a, b):
+            assert sum(n < 0 for n in chains_to(m, m.final.__contains__).values()) <= 1
         assert_products_match_reference(a, b)

@@ -594,7 +594,7 @@ def test_quotiented_determinization_ignores_the_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
     assert len(outputs) == 1
-    assert len(json.loads(outputs.pop())["states"]) == 1714
+    assert len(json.loads(outputs.pop())["states"]) == 946
 
 
 def test_from_monomial_with_an_empty_tail():

@@ -18,8 +18,8 @@ from helpers import (
     with_y_start,
 )
 from po2buchi import monomials
-from po2buchi.core import LEND, Po2Automaton, chain_lengths, complete
-from po2buchi.decide import is_empty
+from po2buchi.core import LEND, Po2Automaton, chain_lengths, chains_to, complete, fresh_name
+from po2buchi.decide import equivalent, is_empty
 from po2buchi.monomials import (
     Monomial,
     automaton_to_polynomial,
@@ -570,25 +570,40 @@ def test_deterministic_round_trip_random():
 
 
 # The product-heavy monomials of test_boolean, and one whose cases make
-# a product of 13,422 states unquotiented, at their quotiented sizes.
+# a product of 13,422 states unquotiented, at their sizes with every
+# operand's dead states merged and the operand quotiented.
 @pytest.mark.parametrize(
     "literal, states",
     [
-        ("[c]*c.[a]*a.[]*b.[ab]w", 1714),
-        ("[b]*b.[a]*a.[]*c.[a]w", 2056),
-        ("[a]*a.[b]*b.[]*c.[ab]w", 1458),
-        ("[a]*a.[c]*c.[]*b.[ab]w", 880),
-        ("[b]*b.[c]*c.[]*a.[a]w", 1336),
-        ("[a]*a.[b]*b.[a]*c.[c]w", 4423),
+        ("[c]*c.[a]*a.[]*b.[ab]w", 946),
+        ("[b]*b.[a]*a.[]*c.[a]w", 1170),
+        ("[a]*a.[b]*b.[]*c.[ab]w", 839),
+        ("[a]*a.[c]*c.[]*b.[ab]w", 501),
+        ("[b]*b.[c]*c.[]*a.[a]w", 743),
+        ("[a]*a.[b]*b.[a]*c.[c]w", 2234),
     ],
 )
 def test_deterministic_quotients_product_operands(monkeypatch, literal, states):
     m = parse_monomial(literal)
+    merge, merges = monomials._merge_dead, []
+
+    def spy(x):
+        merges.append((x, merge(x)))
+        return merges[-1][1]
+
+    monkeypatch.setattr(monomials, "_merge_dead", spy)
     det = monomial_to_deterministic(m, alphabet="abc")
     assert len(det.states) == states
     report = det.validate()
     assert report.is_well_formed_po2 and report.is_deterministic and report.is_complete
+    # The case machines are completed with a state named "sink", so the
+    # merged sink takes the next free name.
+    assert any("sink" in x.states for x, y in merges if y is not x)
+    for x, y in merges:
+        if y is not x:
+            assert y.states - x.states == {fresh_name("sink", x.states)}
     # The same build with every operand left as it is: reduce(product_union, ...).
+    monkeypatch.setattr(monomials, "_merge_dead", lambda a: a)
     monkeypatch.setattr(monomials, "minimize", lambda a: a)
     raw = monomial_to_deterministic(m, alphabet="abc")
     assert len(raw.states) > states
@@ -597,6 +612,40 @@ def test_deterministic_quotients_product_operands(monkeypatch, literal, states):
         w = sample_from_monomial(rng, m) if i % 2 else random_lasso(rng, "abc")
         want = monomial_member(m, w)
         assert run_det(det, w).accepted == run_det(raw, w).accepted == want, str(w)
+
+
+def dead_states(a: Po2Automaton) -> list[str]:
+    return [z for z, n in chains_to(a, a.final.__contains__).items() if n < 0]
+
+
+def test_merge_dead_leaves_one_dead_sink_and_the_language():
+    rng = random.Random(2701)
+    merged = kept = 0
+    for i in range(300):
+        alphabet = rng.choice(["ab", "abc"])
+        a = random_det_automaton(rng, alphabet, rng.randint(2, 8))
+        if i % 3 == 0:
+            a = complete(with_y_start(rng, a))
+        b = monomials._merge_dead(a)
+        if len(dead_states(a)) <= 1:
+            assert b is a
+            kept += 1
+        else:
+            merged += 1
+        report = b.validate()
+        assert report.is_well_formed_po2 and report.is_deterministic and report.is_complete
+        dead = dead_states(b)
+        assert len(dead) <= 1
+        for z in dead:
+            assert z in b.x_states and b.selfloop_letters(z) == b.alphabet
+        n, m = chain_lengths(b)
+        n0, m0 = chain_lengths(a)
+        assert n <= n0 and m <= m0
+        assert equivalent(a, b) is None
+        for _ in range(10):
+            w = random_lasso(rng, alphabet)
+            assert run_det(b, w).verdict == run_det(a, w).verdict, (a, str(w))
+    assert merged > 50 and kept > 50
 
 
 # --- decomposition into monomials -------------------------------------------
@@ -654,6 +703,18 @@ def test_decompose_showcase_machine():
         (
             BIG,
             ["[bc]*a.[b]*c.[b]*c.[b]*a.[bc]w", "[bc]*a.[b]*c.[bc]*c.[b]*c.[b]*a.[bc]w"],
+        ),
+        # 501 states, built from two cases with their dead states merged.
+        # Decomposition is exact, so this pins the machine's language: the
+        # 880-state machine built without the merge gives the same four.
+        (
+            "[a]*a.[c]*c.[]*b.[ab]w",
+            [
+                "[a]*a.[]*c.[]*b.[ab]w",
+                "[a]*a.[]*c.[]*c.[]*b.[ab]w",
+                "[a]*a.[]*c.[]*c.[]*c.[]*b.[ab]w",
+                "[a]*a.[]*c.[]*c.[c]*c.[]*c.[]*b.[ab]w",
+            ],
         ),
     ],
 )
